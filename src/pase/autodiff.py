@@ -425,7 +425,21 @@ def conv1d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """1-D cross-correlation. x: (B, C, T), w: (O, C, K) -> (B, O, T')."""
+    """1-D cross-correlation. x: (B, C, T), w: (O, C, K) -> (B, O, T').
+
+    im2col over blocks of batch items (`_COL_BUDGET` bounds the buffer):
+    col is (n, T', C*K) and wm = w as (O, C*K). Each GEMM writes its result
+    in the layout its consumer reads, with no transposed copy:
+      forward  wm @ col^T            -> (n, O, T'), straight into `out`
+      dW       g as (O, n*T') @ col  -> (O, C*K), summed block by block
+      dX       wm^T @ g              -> (n, C, K, T'); tap k adds its
+                                        time-contiguous rows into input
+                                        positions k, k+stride, ... in k order
+    Every output element is summed in the same order as in the transposing
+    im2col reference (tests/oracles.py `reference_conv1d`), so results
+    equal it bit for bit. dX and dW keep x's and w's dtypes whatever the
+    dtype of g.
+    """
     B, C, T = x.data.shape
     O, C2, K = w.data.shape
     if C != C2:
@@ -444,7 +458,7 @@ def conv1d(
         col = _col_view(xp[lo:hi], K, stride)[:, :, :t_out]
         # materialize: BLAS on the overlapping-stride view is far slower
         col = np.ascontiguousarray(col.transpose(0, 2, 1, 3)).reshape(hi - lo, t_out, C * K)
-        out[lo:hi] = (col @ wm.T).transpose(0, 2, 1)
+        np.matmul(wm, col.transpose(0, 2, 1), out=out[lo:hi])
     if b is not None:
         out += b.data.reshape(1, O, 1)
 
@@ -456,16 +470,15 @@ def conv1d(
         dxp = np.zeros_like(xp) if need_dx else None
         for lo in range(0, B, block):
             hi = min(B, lo + block)
-            gt = np.ascontiguousarray(g[lo:hi].transpose(0, 2, 1)).reshape(-1, O)
             if need_dw:
                 col = _col_view(xp[lo:hi], K, stride)[:, :, :t_out]
                 col = np.ascontiguousarray(col.transpose(0, 2, 1, 3)).reshape(-1, C * K)
-                dw += gt.T @ col
+                dw += g[lo:hi].transpose(1, 0, 2).reshape(O, -1) @ col
             if need_dx:
-                dcol = (gt @ wm).reshape(hi - lo, t_out, C, K).transpose(0, 2, 1, 3)
+                dcol = (wm.T @ g[lo:hi]).reshape(hi - lo, C, K, t_out)
                 sl = dxp[lo:hi]
                 for k in range(K):
-                    sl[:, :, k : k + stride * t_out : stride] += dcol[:, :, :, k]
+                    sl[:, :, k : k + stride * t_out : stride] += dcol[:, :, k]
         dx = None
         if need_dx:
             dx = dxp[:, :, padding : padding + T] if padding else dxp

@@ -151,3 +151,53 @@ def gradcheck(build_loss, params, n_coords=12, h=1e-5, rng=None):
             denom = max(abs(fd), abs(ad_g), 1e-6)
             worst = max(worst, abs(fd - ad_g) / denom)
     return worst
+
+
+# batch block size of the reference conv; kept apart from the library's
+_REFERENCE_COL_BUDGET = 8_000_000
+
+
+def _reference_col_view(xp: np.ndarray, kernel: int, stride: int):
+    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
+    return win[:, :, ::stride, :]  # (B, C, T_out, K), still a view
+
+
+def reference_conv1d(x, w, b, g, stride=1, padding=0):
+    """im2col conv1d forward and vjp whose GEMMs write (T', O) and
+    (T', C*K) results and transpose them afterwards: the bitwise oracle for
+    the library's conv1d, which sums every element in the same order.
+
+    x: (B, C, T), w: (O, C, K), b: (O,) or None, g: upstream gradient
+    (B, O, T'). Returns (out, dx, dw, db); db is None when b is None.
+    """
+    B, C, T = x.shape
+    O, _, K = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+    t_out = (xp.shape[2] - K) // stride + 1
+    wm = w.reshape(O, C * K)
+
+    block = max(1, _REFERENCE_COL_BUDGET // max(1, t_out * C * K))
+    out = np.empty((B, O, t_out), dtype=np.result_type(x, w))
+    for lo in range(0, B, block):
+        hi = min(B, lo + block)
+        col = _reference_col_view(xp[lo:hi], K, stride)[:, :, :t_out]
+        col = np.ascontiguousarray(col.transpose(0, 2, 1, 3)).reshape(hi - lo, t_out, C * K)
+        out[lo:hi] = (col @ wm.T).transpose(0, 2, 1)
+    if b is not None:
+        out += b.reshape(1, O, 1)
+
+    dw = np.zeros_like(wm)
+    dxp = np.zeros_like(xp)
+    for lo in range(0, B, block):
+        hi = min(B, lo + block)
+        gt = np.ascontiguousarray(g[lo:hi].transpose(0, 2, 1)).reshape(-1, O)
+        col = _reference_col_view(xp[lo:hi], K, stride)[:, :, :t_out]
+        col = np.ascontiguousarray(col.transpose(0, 2, 1, 3)).reshape(-1, C * K)
+        dw += gt.T @ col
+        dcol = (gt @ wm).reshape(hi - lo, t_out, C, K).transpose(0, 2, 1, 3)
+        sl = dxp[lo:hi]
+        for k in range(K):
+            sl[:, :, k : k + stride * t_out : stride] += dcol[:, :, :, k]
+    dx = dxp[:, :, padding : padding + T] if padding else dxp
+    db = g.sum(axis=(0, 2)) if b is not None else None
+    return out, dx, dw.reshape(O, C, K), db
