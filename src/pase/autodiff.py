@@ -201,29 +201,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if need_a else None,
+            _unbroadcast(g, b.data.shape) if need_b else None,
+        )
 
     return _from_op(out, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if need_a else None,
+            -_unbroadcast(g, b.data.shape) if need_b else None,
+        )
 
     return _from_op(out, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if need_a else None,
+            _unbroadcast(g * a.data, b.data.shape) if need_b else None,
         )
 
     return _from_op(out, (a, b), vjp)
@@ -580,10 +589,14 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
         raise ShapeMismatch(f"mse_loss: {pred.data.shape} vs {target.data.shape}")
     diff = pred.data - target.data
     out = np.asarray((diff * diff).mean(), dtype=pred.data.dtype)
+    need_pred, need_target = pred.requires_grad, target.requires_grad
 
     def vjp(g):
         scale = 2.0 * g / diff.size
-        return scale * diff, -scale * diff
+        return (
+            scale * diff if need_pred else None,
+            -scale * diff if need_target else None,
+        )
 
     return _from_op(out, (pred, target), vjp)
 

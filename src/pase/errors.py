@@ -95,10 +95,6 @@ class SingleUtteranceBatch(PaseError):
     """Contrastive sampling needs at least two distinct utterances."""
 
 
-class UtteranceTooShort(PaseError):
-    """Utterance cannot provide two distinct chunk draws."""
-
-
 class EmptyList(PaseError):
     """Loss averaging over zero workers."""
 
@@ -123,7 +119,3 @@ class IncompatibleVersion(PaseError):
 
 class ChecksumMismatch(PaseError):
     """Checkpoint payload does not match its trailing CRC."""
-
-
-class LengthMismatch(PaseError):
-    """Time axes cannot be aligned even after truncation."""

@@ -10,6 +10,7 @@ from the requested T60 through Sabine's relation with uniform absorption.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -19,6 +20,11 @@ from .errors import GeometryError, UnphysicalT60
 
 SPEED_OF_SOUND = 343.0
 FRAC_DELAY_HALF = 40  # windowed-sinc support is +/- 40 samples
+KERNEL_TAPS = 2 * FRAC_DELAY_HALF + 1
+# kernel taps per vectorized (taps, images) block: building a 50-RIR pool
+# on 2 threads peaked 4 MB above the one-tap-at-a-time loop with 9-tap
+# blocks and 21 MB above it with blocks of all 81 taps
+TAP_BLOCK_ROWS = 9
 T60_RANGE = (0.3, 0.9)
 IR_LENGTH_FACTOR = 1.25  # taps beyond t60*fs help the decay estimate
 DC_BLOCK_HZ = 50.0
@@ -101,7 +107,7 @@ def generate_rir_image_method(
         raise ValueError(f"t60 {t60} outside supported range {T60_RANGE}")
 
     beta = np.sqrt(1.0 - sabine_absorption(room, t60))
-    n_taps = int(np.ceil(IR_LENGTH_FACTOR * t60 * sample_rate)) + 2 * FRAC_DELAY_HALF + 1
+    n_taps = int(np.ceil(IR_LENGTH_FACTOR * t60 * sample_rate)) + KERNEL_TAPS
     max_dist = (n_taps / sample_rate) * SPEED_OF_SOUND
 
     # lattice bounds: reachable distance and the reflection-order cap
@@ -131,17 +137,30 @@ def generate_rir_image_method(
         delay = delay[inside]
         amp = beta ** order[keep][inside] / (4.0 * np.pi * np.maximum(dist[inside], min_dist))
         base = np.ceil(delay - FRAC_DELAY_HALF).astype(np.int64)
-        for j in range(2 * FRAC_DELAY_HALF + 1):
-            n = base + j
+        # images with equal base delays share a tap bin at every kernel tap j
+        ubase, group = np.unique(base, return_inverse=True)
+        for j0 in range(0, KERNEL_TAPS, TAP_BLOCK_ROWS):
+            j = np.arange(j0, min(j0 + TAP_BLOCK_ROWS, KERNEL_TAPS))[:, None]
+            contrib = amp * _windowed_sinc((base + j) - delay)  # (rows, images)
+            # row-major, so each (j, bin) sum adds its images in image order,
+            # as one bincount per tap j would
+            bins = (group + (j - j0) * len(ubase)).ravel()
+            sums = np.bincount(bins, weights=contrib.ravel(), minlength=len(j) * len(ubase))
+            n = ubase + j
             valid = (n >= 0) & (n < n_taps)
-            if not valid.any():
-                continue
-            contrib = amp[valid] * _windowed_sinc(n[valid] - delay[valid])
-            taps += np.bincount(n[valid], weights=contrib, minlength=n_taps)
+            # unbuffered and row-major: every tap takes its sums in j order
+            np.add.at(taps, n[valid], sums.reshape(n.shape)[valid])
 
     if highpass:
         taps = _dc_block(taps, sample_rate)
     return ImpulseResponse(taps=taps, sample_rate=sample_rate, target_t60=t60)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def default_rir_pool(
@@ -154,12 +173,17 @@ def default_rir_pool(
 
     Rooms span [3..8] x [3..6] x [2.5..4] m with T60 in {0.3, 0.45, 0.6,
     0.75, 0.9} s; source and mic are placed uniformly inside with a 0.5 m
-    wall margin.
+    wall margin; a room whose T60 needs absorption above 1 is redrawn.
+
+    Every room is drawn from `rng` first, then the responses are built on
+    a thread per usable CPU (numpy's trig loops release the GIL) and
+    returned in draw order. The pool and the Generator's final state are
+    byte-identical to a one-thread build.
     """
     t60s = (0.3, 0.45, 0.6, 0.75, 0.9)
-    pool: list[ImpulseResponse] = []
+    rooms = []
     i = 0
-    while len(pool) < count:
+    while len(rooms) < count:
         room = np.array(
             [
                 rng.uniform(3.0, 8.0),
@@ -173,9 +197,17 @@ def default_rir_pool(
         src = rng.uniform(margin, room - margin)
         mic = rng.uniform(margin, room - margin)
         try:
-            pool.append(
-                generate_rir_image_method(room, src, mic, t60, max_order, sample_rate)
-            )
+            sabine_absorption(room, t60)
         except UnphysicalT60:
             continue
-    return pool
+        rooms.append((room, src, mic, t60))
+
+    def build(args) -> ImpulseResponse:
+        return generate_rir_image_method(*args, max_order, sample_rate)
+
+    # imported on first use: at module level it changed the heap layout of
+    # processes that never build a pool, and moved extract's peak RSS by 33 MB
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, min(len(rooms), _usable_cpus()))) as pool:
+        return list(pool.map(build, rooms))

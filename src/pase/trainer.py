@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .audio_io import Chunk, Waveform, chunk_samples, draw_chunk, load_manifest,
 from .autodiff import Tensor
 from .checkpoint import ADAM_PREFIX, STATS_PREFIX, load_checkpoint, save_checkpoint
 from .config import TrainConfig
-from .distortion import contaminate
+from .distortion import DistortionConfig, contaminate
 from .encoder import Encoder, EncoderConfig
 from .errors import DegenerateSplit, EmptyCorpus, NonFiniteLoss
 from .features import HOP_SECONDS, write_pfea
@@ -144,6 +144,28 @@ def _epoch_batches(n_utts: int, batch_size: int, rng) -> list[np.ndarray]:
     return batches
 
 
+def _with_pools(cfg: TrainConfig, corpus: list[CorpusEntry], rng) -> DistortionConfig:
+    """A copy of `cfg.distortion` with the pool of every active reverb, noise
+    and overlap distortion built; the reverb pool is the only one that draws
+    from `rng`. `cfg` is left unchanged, so a reused config starts the next
+    run from the same state."""
+    sample_rate = cfg.encoder.sample_rate
+    dist = cfg.distortion
+    reverb, noise, overlap = replace(dist.reverb), replace(dist.noise), replace(dist.overlap)
+    if reverb.enabled and reverb.p > 0:
+        reverb.rir_pool = default_rir_pool(rng, cfg.rir_count, cfg.rir_max_order, sample_rate)
+    if noise.enabled and noise.p > 0 and cfg.noise_manifest:
+        noise.noise_pool = [e.wave for e in load_corpus(cfg.noise_manifest, "noise", sample_rate)]
+    if overlap.enabled and overlap.p > 0:
+        overlap_corpus = (
+            load_corpus(cfg.overlap_manifest, "overlap_speech", sample_rate)
+            if cfg.overlap_manifest
+            else corpus
+        )
+        overlap.speech_pool = [(e.wave, e.speaker_id) for e in overlap_corpus]
+    return replace(dist, reverb=reverb, noise=noise, overlap=overlap)
+
+
 def _distinct_draw(entry: CorpusEntry, first: Chunk, rng) -> Chunk:
     """Second chunk for the global task; distinct offset when possible."""
     for _ in range(8):
@@ -162,21 +184,7 @@ def pretrain(cfg: TrainConfig) -> str:
         raise EmptyCorpus(f"need >= 2 utterances, got {len(corpus)}")
 
     rng = np.random.default_rng(cfg.seed)
-    dist = cfg.distortion
-    if dist.reverb.enabled and dist.reverb.p > 0:
-        dist.reverb.rir_pool = default_rir_pool(
-            rng, cfg.rir_count, cfg.rir_max_order, sample_rate
-        )
-    if dist.noise.enabled and dist.noise.p > 0 and cfg.noise_manifest:
-        noise_corpus = load_corpus(cfg.noise_manifest, "noise", sample_rate)
-        dist.noise.noise_pool = [e.wave for e in noise_corpus]
-    if dist.overlap.enabled and dist.overlap.p > 0:
-        overlap_corpus = (
-            load_corpus(cfg.overlap_manifest, "overlap_speech", sample_rate)
-            if cfg.overlap_manifest
-            else corpus
-        )
-        dist.overlap.speech_pool = [(e.wave, e.speaker_id) for e in overlap_corpus]
+    dist = _with_pools(cfg, corpus, rng)
 
     model = build_model(cfg.encoder, rng)
     log.info("fitting target statistics over %d utterances", len(corpus))
@@ -429,24 +437,8 @@ def contaminate_corpus(cfg: TrainConfig, manifest_path: str, out_dir: str, seed:
     """Offline variant of the online module: one distorted WAV per utterance."""
     sample_rate = cfg.encoder.sample_rate
     corpus = load_corpus(manifest_path, "clean_speech", sample_rate)
-    dist = cfg.distortion
     rng = np.random.default_rng(seed)
-    # pools are rebuilt unconditionally so a reused config cannot desync the
-    # draw stream between runs with the same seed
-    if dist.reverb.enabled and dist.reverb.p > 0:
-        dist.reverb.rir_pool = default_rir_pool(
-            rng, cfg.rir_count, cfg.rir_max_order, sample_rate
-        )
-    if dist.noise.enabled and dist.noise.p > 0 and cfg.noise_manifest:
-        noise_corpus = load_corpus(cfg.noise_manifest, "noise", sample_rate)
-        dist.noise.noise_pool = [e.wave for e in noise_corpus]
-    if dist.overlap.enabled and dist.overlap.p > 0:
-        overlap_corpus = (
-            load_corpus(cfg.overlap_manifest, "overlap_speech", sample_rate)
-            if cfg.overlap_manifest
-            else corpus
-        )
-        dist.overlap.speech_pool = [(e.wave, e.speaker_id) for e in overlap_corpus]
+    dist = _with_pools(cfg, corpus, rng)
 
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "distortion_log.jsonl")

@@ -6,7 +6,12 @@ independent of the library code paths it checks.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
+
+from pase import rir
+from pase.errors import UnphysicalT60
 
 
 def naive_conv1d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -201,3 +206,97 @@ def reference_conv1d(x, w, b, g, stride=1, padding=0):
     dx = dxp[:, :, padding : padding + T] if padding else dxp
     db = g.sum(axis=(0, 2)) if b is not None else None
     return out, dx, dw.reshape(O, C, K), db
+
+
+def _reference_windowed_sinc(offsets: np.ndarray) -> np.ndarray:
+    w = np.where(
+        np.abs(offsets) <= rir.FRAC_DELAY_HALF,
+        0.54 + 0.46 * np.cos(np.pi * offsets / rir.FRAC_DELAY_HALF),
+        0.0,
+    )
+    return np.sinc(offsets) * w
+
+
+def reference_rir_image_method(
+    room_dims,
+    source_pos,
+    mic_pos,
+    t60: float,
+    max_order: int = 20,
+    sample_rate: int = 16000,
+    highpass: bool = True,
+) -> rir.ImpulseResponse:
+    """Image-method RIR with one windowed-sinc pass and one bincount per
+    kernel tap: the bitwise oracle for `rir.generate_rir_image_method`.
+    `sabine_absorption` is looked up on `pase.rir` at call time, so a test
+    that patches it there patches the oracle too."""
+    room = np.asarray(room_dims, dtype=np.float64)
+    src = np.asarray(source_pos, dtype=np.float64)
+    mic = np.asarray(mic_pos, dtype=np.float64)
+    half = rir.FRAC_DELAY_HALF
+    c = rir.SPEED_OF_SOUND
+
+    beta = np.sqrt(1.0 - rir.sabine_absorption(room, t60))
+    n_taps = int(np.ceil(rir.IR_LENGTH_FACTOR * t60 * sample_rate)) + 2 * half + 1
+    max_dist = (n_taps / sample_rate) * c
+
+    order_bound = (max_order + 1) // 2 + 1
+    spans = []
+    for axis in range(3):
+        reach = int(np.ceil(max_dist / (2.0 * room[axis]))) + 1
+        n_lim = min(reach, order_bound)
+        spans.append(np.arange(-n_lim, n_lim + 1))
+    nx, ny, nz = np.meshgrid(*spans, indexing="ij")
+    lattice = np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=1)
+
+    taps = np.zeros(n_taps)
+    min_dist = c / sample_rate
+    for p in product((0, 1), repeat=3):
+        p_arr = np.asarray(p)
+        order = (np.abs(lattice - p_arr) + np.abs(lattice)).sum(axis=1)
+        keep = order <= max_order
+        if not keep.any():
+            continue
+        pos = (1.0 - 2.0 * p_arr) * src + 2.0 * lattice[keep] * room
+        dist = np.linalg.norm(pos - mic, axis=1)
+        delay = dist * (sample_rate / c)
+        inside = delay < n_taps - 1
+        if not inside.any():
+            continue
+        delay = delay[inside]
+        amp = beta ** order[keep][inside] / (4.0 * np.pi * np.maximum(dist[inside], min_dist))
+        base = np.ceil(delay - half).astype(np.int64)
+        for j in range(2 * half + 1):
+            n = base + j
+            valid = (n >= 0) & (n < n_taps)
+            if not valid.any():
+                continue
+            contrib = amp[valid] * _reference_windowed_sinc(n[valid] - delay[valid])
+            taps += np.bincount(n[valid], weights=contrib, minlength=n_taps)
+
+    if highpass:
+        taps = rir._dc_block(taps, sample_rate)
+    return rir.ImpulseResponse(taps=taps, sample_rate=sample_rate, target_t60=t60)
+
+
+def reference_rir_pool(rng, count=50, max_order=20, sample_rate=16000):
+    """One room at a time, each built before the next is drawn, retrying a
+    room whose T60 is unphysical: the oracle for `rir.default_rir_pool`."""
+    t60s = (0.3, 0.45, 0.6, 0.75, 0.9)
+    pool = []
+    i = 0
+    while len(pool) < count:
+        room = np.array(
+            [rng.uniform(3.0, 8.0), rng.uniform(3.0, 6.0), rng.uniform(2.5, 4.0)]
+        )
+        t60 = t60s[i % len(t60s)]
+        i += 1
+        src = rng.uniform(0.5, room - 0.5)
+        mic = rng.uniform(0.5, room - 0.5)
+        try:
+            pool.append(
+                reference_rir_image_method(room, src, mic, t60, max_order, sample_rate)
+            )
+        except UnphysicalT60:
+            continue
+    return pool

@@ -27,6 +27,20 @@ def test_add_sub_mul_broadcast_grads(rng):
         assert err < GRAD_TOL
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.mse_loss])
+def test_constant_operand_gets_no_gradient(rng, op):
+    # the vjp returns None for a parent that needs no gradient, and the
+    # other parent's gradient is the one computed when both need one
+    x, c = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    g = np.asarray(0.7) if op is ad.mse_loss else rng.standard_normal((3, 4))
+    both = op(Tensor(x, requires_grad=True), Tensor(c, requires_grad=True))._vjp(g)
+    left = op(Tensor(x, requires_grad=True), Tensor(c))._vjp(g)
+    assert left[1] is None and np.array_equal(left[0], both[0])
+    both = op(Tensor(c, requires_grad=True), Tensor(x, requires_grad=True))._vjp(g)
+    right = op(Tensor(c), Tensor(x, requires_grad=True))._vjp(g)
+    assert right[0] is None and np.array_equal(right[1], both[1])
+
+
 @pytest.mark.parametrize(
     "name,builder",
     [

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,11 @@ def test_default_config_matches_standard_probabilities(tmp_path):
     assert cfg.batch_size == 32
     assert cfg.lr0 == pytest.approx(1e-3)
     assert cfg.epochs == 30
+
+
+def test_shipped_default_config_is_generated():
+    shipped = Path(__file__).parent.parent / "configs" / "default.conf"
+    assert shipped.read_text(encoding="utf-8") == default_config_text()
 
 
 def test_config_overrides_parse(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pase import rir
 from pase.errors import GeometryError, UnphysicalT60
 from pase.rir import default_rir_pool, generate_rir_image_method, sabine_absorption
 
-from oracles import schroeder_t60
+from oracles import reference_rir_image_method, reference_rir_pool, schroeder_t60
 
 ROOM = (6.0, 5.0, 3.0)
 SRC = (1.0, 1.0, 1.5)
@@ -75,3 +76,78 @@ def test_default_pool_deterministic():
         assert ir_a.target_t60 == ir_b.target_t60
     t60s = {ir.target_t60 for ir in a}
     assert len(t60s) >= 3  # grid covers several reverberation times
+
+
+def assert_same_pool(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.taps.dtype == b.taps.dtype
+        assert a.taps.tobytes() == b.taps.tobytes()
+        assert a.target_t60 == b.target_t60
+        assert a.sample_rate == b.sample_rate
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 8, 12, 20])
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050])
+@pytest.mark.parametrize("highpass", [True, False])
+def test_taps_match_reference_bitwise(max_order, sample_rate, highpass):
+    # a mic next to the source puts kernel taps before tap 0; in the large
+    # room at a short t60, order-20 images put kernel taps past the last one
+    cases = ((ROOM, (1.2, 1.1, 1.5), 0.3), ((9.0, 8.0, 6.0), (8.9, 7.9, 0.1), 0.3))
+    for room, mic, t60 in cases:
+        args = (room, SRC, mic, t60, max_order, sample_rate, highpass)
+        got = generate_rir_image_method(*args)
+        assert_same_pool([got], [reference_rir_image_method(*args)])
+
+
+@pytest.mark.parametrize(
+    "seed,max_order,sample_rate,count",
+    [
+        (1, 0, 16000, 5),
+        (7, 1, 8000, 5),
+        (1, 8, 22050, 4),
+        (7, 12, 16000, 4),
+        (7, 20, 8000, 3),
+        (1, 20, 16000, 50),
+    ],
+)
+def test_pool_matches_reference_bitwise(seed, max_order, sample_rate, count):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = default_rir_pool(rng, count, max_order, sample_rate)
+    assert_same_pool(got, reference_rir_pool(ref_rng, count, max_order, sample_rate))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pool_on_one_worker_is_identical(monkeypatch):
+    many = default_rir_pool(np.random.default_rng(3), count=5, max_order=8)
+    monkeypatch.setattr(rir, "_usable_cpus", lambda: 1)
+    assert_same_pool(default_rir_pool(np.random.default_rng(3), count=5, max_order=8), many)
+
+
+def rejecting_every_other_room():
+    """sabine_absorption that rejects the 2nd, 4th, ... distinct room it
+    sees, however often it is asked about each one."""
+    seen = {}
+
+    def check(room_dims, t60):
+        verdict = seen.setdefault(tuple(np.asarray(room_dims).tolist()), len(seen) % 2)
+        if verdict:
+            raise UnphysicalT60("rejected by the test")
+        return sabine_absorption(room_dims, t60)
+
+    return check, seen
+
+
+def test_pool_retries_rejected_rooms_like_reference(monkeypatch):
+    check, seen = rejecting_every_other_room()
+    monkeypatch.setattr(rir, "sabine_absorption", check)
+    rng = np.random.default_rng(1)
+    got = default_rir_pool(rng, count=4, max_order=8)
+    assert len(seen) == 7
+
+    check, ref_seen = rejecting_every_other_room()
+    monkeypatch.setattr(rir, "sabine_absorption", check)
+    ref_rng = np.random.default_rng(1)
+    assert_same_pool(got, reference_rir_pool(ref_rng, count=4, max_order=8))
+    assert list(seen) == list(ref_seen)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -47,6 +47,17 @@ def test_pretrain_writes_expected_artifacts(trained):
     assert os.path.exists(out / "losses.csv")
 
 
+def test_pools_stay_out_of_the_callers_config(trained, micro_corpus, tmp_path):
+    # pretrain and contaminate_corpus build their pools on a copy
+    contaminated = micro_train_config(micro_corpus, tmp_path)
+    T.contaminate_corpus(contaminated, micro_corpus["train"], str(tmp_path / "out"), seed=1)
+    for cfg in (trained["cfg"], contaminated):
+        dist = cfg.distortion
+        assert dist.reverb.rir_pool == []
+        assert dist.noise.noise_pool == []
+        assert dist.overlap.speech_pool == []
+
+
 def test_loss_csv_complete_and_monotone(trained):
     rows = open(trained["dir"] / "losses.csv").read().strip().splitlines()
     assert rows[0] == "step,worker,loss"
