@@ -12,48 +12,31 @@ Takes roughly 10-15 minutes on a laptop CPU. Everything lands under --out:
 import argparse
 import json
 import os
+from pathlib import Path
 
-from pase.config import TrainConfig
+from pase.config import load_train_config
 from pase.toygen import make_toy_corpus
 from pase.trainer import ProbeConfig, extract, pretrain, probe
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.conf"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epochs", type=int, default=30)
-    parser.add_argument("--batch-size", type=int, default=2)
+    parser.add_argument("--seed", type=int, default=0, help="corpus and probe seed")
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
     corpus = make_toy_corpus(os.path.join(args.out, "corpus"), seed=args.seed)
     print("corpus written")
 
-    # desk-scale recipe: small batches for more optimizer steps, slightly
-    # larger initial rate, gentler distortion than the full-scale defaults
-    cfg = TrainConfig(
-        clean_manifest=corpus["train"],
-        noise_manifest=corpus["noise"],
-        checkpoint_dir=os.path.join(args.out, "ckpt"),
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        lr0=2e-3,
-        schedule_power=0.7,
-        lim_triples_per_chunk=64,
-        gim_negatives_per_chunk=16,
-        rir_max_order=12,
-        seed=args.seed,
-    )
-    dist = cfg.distortion
-    dist.reverb.p = 0.25
-    dist.noise.p = 0.3
-    dist.noise.snr_range_db = (5.0, 10.0)
-    dist.freq_mask.p = 0.2
-    dist.temporal_mask.p = 0.1
-    dist.temporal_mask.max_fraction = 0.1
-    dist.clip.p = 0.1
-    dist.overlap.p = 0.05
+    # the desk-scale recipe, training seed included; only the data and
+    # checkpoint locations are set here
+    cfg = load_train_config(str(DESK_CONFIG))
+    cfg.clean_manifest = corpus["train"]
+    cfg.noise_manifest = corpus["noise"]
+    cfg.checkpoint_dir = os.path.join(args.out, "ckpt")
     final = pretrain(cfg)
     print(f"pretrained checkpoint: {final}")
 

@@ -29,7 +29,7 @@ CHUNK_SECONDS = 2.0
 PCM16 = "pcm16"
 F32 = "f32"
 
-MANIFEST_ROLES = ("clean_speech", "noise", "rir", "overlap_speech")
+MANIFEST_ROLES = ("clean_speech", "noise", "overlap_speech")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,6 @@ class TrainConfig:
     # sampling is nearly free and greatly speeds up the binary workers
     lim_triples_per_chunk: int = 24
     gim_negatives_per_chunk: int = 8
-    probe_epochs: int = 100
-    probe_lr: float = 1e-2
-    probe_train_fraction: float = 0.75
     distortion: DistortionConfig = field(default_factory=DistortionConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
@@ -83,11 +80,6 @@ stats_chunks_per_utterance = 1
 # contrastive samples drawn per chunk at every step
 lim_triples_per_chunk = 24
 gim_negatives_per_chunk = 8
-
-[probe]
-epochs = 100
-lr = 0.01
-train_fraction = 0.75
 
 # --- distortions: each fires independently with probability p ---
 
@@ -197,10 +189,5 @@ def load_train_config(path: str) -> TrainConfig:
         cfg.gim_negatives_per_chunk = s.getint(
             "gim_negatives_per_chunk", cfg.gim_negatives_per_chunk
         )
-    if parser.has_section("probe"):
-        s = parser["probe"]
-        cfg.probe_epochs = s.getint("epochs", cfg.probe_epochs)
-        cfg.probe_lr = s.getfloat("lr", cfg.probe_lr)
-        cfg.probe_train_fraction = s.getfloat("train_fraction", cfg.probe_train_fraction)
     cfg.distortion = _read_distortion(parser)
     return cfg

@@ -2,9 +2,10 @@
 
 `contaminate` applies reverb, additive noise, frequency masking, temporal
 masking, clipping and overlapped speech in that fixed order. Every random
-decision comes from the caller's Generator, and the returned log carries
-enough detail (pool indices, offsets, drawn parameters) that `replay_log`
-reproduces the output exactly.
+decision comes from the caller's Generator and lands in a log with enough
+detail (pool indices, offsets, drawn parameters) that `replay_log`
+reproduces the output exactly; `contaminate` itself draws the whole log
+first and then applies it through `replay_log`.
 """
 
 from __future__ import annotations
@@ -257,23 +258,17 @@ def contaminate(
     """
     cfg.validate()
     _check_pools(cfg, speaker_id)
-    x = Waveform(np.array(chunk.samples, dtype=np.float32), chunk.sample_rate)
+    n = len(chunk.samples)  # no distortion changes the length
     applied: list[dict] = []
 
     if cfg.reverb.enabled and rng.random() < cfg.reverb.p:
         idx = int(rng.integers(len(cfg.reverb.rir_pool)))
-        x = apply_reverb(x, cfg.reverb.rir_pool[idx])
         applied.append({"kind": "reverb", "rir_index": idx})
 
     if cfg.noise.enabled and rng.random() < cfg.noise.p:
         idx = int(rng.integers(len(cfg.noise.noise_pool)))
-        noise = cfg.noise.noise_pool[idx]
-        offset = int(rng.integers(len(noise.samples)))
+        offset = int(rng.integers(len(cfg.noise.noise_pool[idx].samples)))
         snr_db = float(rng.uniform(*cfg.noise.snr_range_db))
-        fitted = Waveform(
-            _fit_length(noise.samples, len(x.samples), offset), x.sample_rate
-        )
-        x = mix_noise(x, fitted, snr_db)
         applied.append(
             {"kind": "noise", "noise_index": idx, "offset": offset, "snr_db": snr_db}
         )
@@ -281,20 +276,16 @@ def contaminate(
     if cfg.freq_mask.enabled and rng.random() < cfg.freq_mask.p:
         idx = int(rng.integers(len(cfg.freq_mask.band_pool)))
         f_lo, f_hi = cfg.freq_mask.band_pool[idx]
-        x = apply_freq_mask(x, (f_lo, f_hi))
         applied.append({"kind": "freq_mask", "f_lo": float(f_lo), "f_hi": float(f_hi)})
 
     if cfg.temporal_mask.enabled and rng.random() < cfg.temporal_mask.p:
-        n = len(x.samples)
         max_len = max(1, int(cfg.temporal_mask.max_fraction * n))
         length = int(rng.integers(1, max_len + 1))
         start = int(rng.integers(0, n - length + 1))
-        x = apply_temporal_mask(x, start, length)
         applied.append({"kind": "temporal_mask", "start": start, "length": length})
 
     if cfg.clip.enabled and rng.random() < cfg.clip.p:
         saturation = float(rng.uniform(*cfg.clip.saturation_range))
-        x = apply_clip(x, saturation)
         applied.append({"kind": "clip", "saturation": saturation})
 
     if cfg.overlap.enabled and rng.random() < cfg.overlap.p:
@@ -304,18 +295,13 @@ def contaminate(
         else:
             candidates = [i for i, (_, spk) in enumerate(pool) if spk != speaker_id]
         idx = candidates[int(rng.integers(len(candidates)))]
-        other = pool[idx][0]
-        offset = int(rng.integers(len(other.samples)))
+        offset = int(rng.integers(len(pool[idx][0].samples)))
         gain_db = float(rng.uniform(*cfg.overlap.gain_range_db))
-        fitted = Waveform(
-            _fit_length(other.samples, len(x.samples), offset), x.sample_rate
-        )
-        x = apply_overlap(x, fitted, gain_db)
         applied.append(
             {"kind": "overlap", "speech_index": idx, "offset": offset, "gain_db": gain_db}
         )
 
-    return _final_clamp(x), applied
+    return replay_log(chunk, cfg, applied), applied
 
 
 def _final_clamp(wave: Waveform) -> Waveform:

@@ -292,15 +292,11 @@ class QRNNLayer:
         self.w_o, self.b_o = w("o"), Parameter(f"{prefix}/o/b", np.zeros(hidden, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        xp = ad.pad1d(x, self.kernel - 1, 0)  # causal: gates at t see x_{<=t}
-        z = ad.tanh(ad.conv1d(xp, self.w_z, self.b_z))
-        f = ad.sigmoid(ad.conv1d(xp, self.w_f, self.b_f))
-        o = ad.sigmoid(ad.conv1d(xp, self.w_o, self.b_o))
-        c = ad.fo_pool(z, f)
-        return ad.mul(o, c)
+        z, f, o = self.gates(x)
+        return ad.mul(o, ad.fo_pool(z, f))
 
     def gates(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        xp = ad.pad1d(x, self.kernel - 1, 0)
+        xp = ad.pad1d(x, self.kernel - 1, 0)  # causal: gates at t see x_{<=t}
         return (
             ad.tanh(ad.conv1d(xp, self.w_z, self.b_z)),
             ad.sigmoid(ad.conv1d(xp, self.w_f, self.b_f)),

@@ -4,6 +4,11 @@ Every extractor lands on the same grid: floor(samples / hop) frames, frame t
 starting at t*hop, tail zero-padded. That keeps worker targets frame-aligned
 with the encoder output regardless of window length. All math runs in
 float64; callers cast to float32 at the training boundary.
+
+All spectral kinds share one framing, `_power`: 25 ms Hamming frames of the
+pre-emphasised signal on the 10 ms grid, one periodogram each. A long kind's
+frame t is the mean of the 18 periodograms of frames t .. t+17 (a 200 ms
+span). One map per base kind, `_SPECTRAL_MAPS`, serves both window lengths.
 """
 
 from __future__ import annotations
@@ -36,8 +41,16 @@ N_MFCC = 13
 GAMMATONE_FMIN = 100.0
 
 SHORT_KINDS = ("lps", "mfcc", "fbank", "gammatone")
-LONG_KINDS = ("lps_long", "mfcc_long", "fbank_long", "gammatone_long")
+LONG_KINDS = tuple(kind + "_long" for kind in SHORT_KINDS)
 FEATURE_KINDS = SHORT_KINDS + ("prosody",) + LONG_KINDS
+_BASE_DIMS = {
+    "lps": FFT_SIZE // 2 + 1,
+    "mfcc": N_MFCC,
+    "fbank": N_FILTERS,
+    "gammatone": N_FILTERS,
+    "prosody": 4,
+}
+FEATURE_DIMS = {kind: _BASE_DIMS[kind.removesuffix("_long")] for kind in FEATURE_KINDS}
 
 
 @dataclass
@@ -93,11 +106,6 @@ def power_spectrum(frames: np.ndarray, nfft: int = FFT_SIZE) -> np.ndarray:
     return (spec.real**2 + spec.imag**2).astype(np.float64)
 
 
-def log_power_spectrum(frames: np.ndarray) -> FeatureMatrix:
-    lps = np.log(np.maximum(power_spectrum(frames), LOG_FLOOR))
-    return FeatureMatrix(lps, HOP_SECONDS, SHORT_WINDOW_SECONDS, "lps")
-
-
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -130,13 +138,6 @@ def mel_filterbank(
     return weights, pts[1:-1].copy()
 
 
-def mel_fbank(frames: np.ndarray, n_filters: int = N_FILTERS) -> FeatureMatrix:
-    weights, _ = mel_filterbank(n_filters)
-    energies = power_spectrum(frames) @ weights.T
-    vals = np.log(np.maximum(energies, LOG_FLOOR))
-    return FeatureMatrix(vals, HOP_SECONDS, SHORT_WINDOW_SECONDS, "fbank")
-
-
 @lru_cache(maxsize=4)
 def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis, rows are coefficients."""
@@ -145,12 +146,6 @@ def dct_matrix(n: int) -> np.ndarray:
     d = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * m + 1) * k / (2 * n))
     d[0] *= np.sqrt(0.5)
     return d
-
-
-def mfcc(frames: np.ndarray, n_coeffs: int = N_MFCC) -> FeatureMatrix:
-    logmel = mel_fbank(frames).values
-    vals = logmel @ dct_matrix(logmel.shape[1])[:n_coeffs].T
-    return FeatureMatrix(vals, HOP_SECONDS, SHORT_WINDOW_SECONDS, "mfcc")
 
 
 def erb_rate(f):
@@ -186,11 +181,38 @@ def gammatone_filterbank(
     return spec, centers, taps
 
 
-def gammatone(frames: np.ndarray, n_filters: int = N_FILTERS) -> FeatureMatrix:
-    weights, _, _ = gammatone_filterbank(n_filters)
-    energies = power_spectrum(frames) @ weights.T
-    vals = np.log(np.maximum(energies, LOG_FLOOR))
-    return FeatureMatrix(vals, HOP_SECONDS, SHORT_WINDOW_SECONDS, "gammatone")
+def _log(x: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(x, LOG_FLOOR))
+
+
+# power matrix (frames, FFT_SIZE // 2 + 1) -> feature matrix, per base kind
+_SPECTRAL_MAPS = {
+    "lps": _log,
+    "mfcc": lambda p: _log(p @ mel_filterbank()[0].T) @ dct_matrix(N_FILTERS)[:N_MFCC].T,
+    "fbank": lambda p: _log(p @ mel_filterbank()[0].T),
+    "gammatone": lambda p: _log(p @ gammatone_filterbank()[0].T),
+}
+
+
+def _frame_feature(frames: np.ndarray, kind: str) -> FeatureMatrix:
+    values = _SPECTRAL_MAPS[kind](power_spectrum(frames))
+    return FeatureMatrix(values, HOP_SECONDS, SHORT_WINDOW_SECONDS, kind)
+
+
+def log_power_spectrum(frames: np.ndarray) -> FeatureMatrix:
+    return _frame_feature(frames, "lps")
+
+
+def mel_fbank(frames: np.ndarray) -> FeatureMatrix:
+    return _frame_feature(frames, "fbank")
+
+
+def mfcc(frames: np.ndarray) -> FeatureMatrix:
+    return _frame_feature(frames, "mfcc")
+
+
+def gammatone(frames: np.ndarray) -> FeatureMatrix:
+    return _frame_feature(frames, "gammatone")
 
 
 # --- prosody -----------------------------------------------------------------
@@ -212,7 +234,7 @@ def prosody(wave: Waveform) -> FeatureMatrix:
     n = frames.shape[0]
 
     power = (frames**2).sum(axis=1)
-    log_energy = np.log(np.maximum(power, LOG_FLOOR))
+    log_energy = _log(power)
     signs = frames >= 0.0
     zcr = (signs[:, 1:] != signs[:, :-1]).mean(axis=1)
 
@@ -312,74 +334,46 @@ def stack_context(feat: FeatureMatrix, w: int = 7) -> FeatureMatrix:
     return FeatureMatrix(np.concatenate(cols, axis=1), feat.hop, feat.window, feat.kind)
 
 
-# --- long-window variants ------------------------------------------------------
+# --- spectral kinds on the shared grid -------------------------------------------
 
 # number of 25 ms sub-windows on the 10 ms grid covered by one 200 ms window
 _LONG_SEGMENTS = int((LONG_WINDOW_SECONDS - SHORT_WINDOW_SECONDS) / HOP_SECONDS) + 1
 
 
-def _long_power(wave: Waveform) -> np.ndarray:
-    """200 ms power spectral estimate per 10 ms frame (averaged periodograms)."""
+def _power(wave: Waveform, segments: int) -> np.ndarray:
+    """Periodogram per 10 ms frame, averaged over `segments` consecutive frames.
+
+    With segments == 1 the periodograms come back as computed: the running
+    mean goes through a cumulative sum, which would round them differently.
+    """
     sr = wave.sample_rate
     win = int(round(SHORT_WINDOW_SECONDS * sr))
     hop = int(round(HOP_SECONDS * sr))
     if len(wave) < win:
-        raise TooShort("long-window features need at least one short window")
+        raise TooShort(f"signal of {len(wave)} samples shorter than window {win}")
     n = len(wave) // hop
-    frames = _frame_raw(pre_emphasize(wave.samples), win, hop, n_frames=n + _LONG_SEGMENTS - 1)
+    frames = _frame_raw(pre_emphasize(wave.samples), win, hop, n_frames=n + segments - 1)
     frames *= np.hamming(win)
     p = power_spectrum(frames)
+    if segments == 1:
+        return p
     csum = np.cumsum(p, axis=0)
     csum = np.concatenate([np.zeros((1, p.shape[1])), csum], axis=0)
-    return (csum[_LONG_SEGMENTS:] - csum[:-_LONG_SEGMENTS])[:n] / _LONG_SEGMENTS
-
-
-def long_window_features(wave: Waveform, kind: str) -> FeatureMatrix:
-    """Spectral features over 200 ms analysis windows, same 10 ms grid.
-
-    The long-window spectrum is the average of the 25 ms periodograms tiled
-    across the window, so frame t lines up index-for-index with the short
-    variants while describing a 200 ms neighbourhood.
-    """
-    base = kind[:-5] if kind.endswith("_long") else kind
-    if base not in SHORT_KINDS:
-        raise ValueError(f"no long-window variant for kind {kind!r}")
-    p = _long_power(wave)
-    if base == "lps":
-        vals = np.log(np.maximum(p, LOG_FLOOR))
-    elif base == "fbank":
-        weights, _ = mel_filterbank()
-        vals = np.log(np.maximum(p @ weights.T, LOG_FLOOR))
-    elif base == "mfcc":
-        weights, _ = mel_filterbank()
-        logmel = np.log(np.maximum(p @ weights.T, LOG_FLOOR))
-        vals = logmel @ dct_matrix(logmel.shape[1])[:N_MFCC].T
-    else:  # gammatone
-        weights, _, _ = gammatone_filterbank()
-        vals = np.log(np.maximum(p @ weights.T, LOG_FLOOR))
-    return FeatureMatrix(vals, HOP_SECONDS, LONG_WINDOW_SECONDS, base + "_long")
+    return (csum[segments:] - csum[:-segments])[:n] / segments
 
 
 def extract_feature(wave: Waveform, kind: str) -> FeatureMatrix:
     """Uniform entry point over every feature kind on the canonical grid."""
-    if kind in LONG_KINDS:
-        return long_window_features(wave, kind)
     if kind == "prosody":
         return prosody(wave)
-    if kind not in SHORT_KINDS:
+    if kind in SHORT_KINDS:
+        power, window = _power(wave, 1), SHORT_WINDOW_SECONDS
+    elif kind in LONG_KINDS:
+        power, window = _power(wave, _LONG_SEGMENTS), LONG_WINDOW_SECONDS
+    else:
         raise ValueError(f"unknown feature kind {kind!r}")
-    frames = frame_signal(
-        Waveform(pre_emphasize(wave.samples), wave.sample_rate),
-        SHORT_WINDOW_SECONDS,
-        HOP_SECONDS,
-    )
-    if kind == "lps":
-        return log_power_spectrum(frames)
-    if kind == "fbank":
-        return mel_fbank(frames)
-    if kind == "mfcc":
-        return mfcc(frames)
-    return gammatone(frames)
+    values = _SPECTRAL_MAPS[kind.removesuffix("_long")](power)
+    return FeatureMatrix(values, HOP_SECONDS, window, kind)
 
 
 # --- PFEA binary tensor files ---------------------------------------------------

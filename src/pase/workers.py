@@ -19,18 +19,7 @@ from .audio_io import Waveform
 from .autodiff import Parameter, Tensor
 from .errors import EmptyList, FrameGridMismatch, SingleUtteranceBatch
 
-REGRESSION_KINDS = (
-    "wave",
-    "lps",
-    "mfcc",
-    "fbank",
-    "gammatone",
-    "prosody",
-    "lps_long",
-    "mfcc_long",
-    "fbank_long",
-    "gammatone_long",
-)
+REGRESSION_KINDS = ("wave",) + F.FEATURE_KINDS
 
 CONTEXT_FRAMES = 7
 HIDDEN_UNITS = 256
@@ -52,22 +41,11 @@ def default_roster() -> list[WorkerSpec]:
     return roster
 
 
-def base_feature_dim(target_kind: str, sample_rate: int = 16000) -> int:
-    base = target_kind[:-5] if target_kind.endswith("_long") else target_kind
-    return {
-        "lps": F.FFT_SIZE // 2 + 1,
-        "mfcc": F.N_MFCC,
-        "fbank": F.N_FILTERS,
-        "gammatone": F.N_FILTERS,
-        "prosody": 4,
-    }[base]
-
-
 def target_dim(target_kind: str, sample_rate: int = 16000) -> int:
     """Output width of one regression worker."""
     if target_kind == "wave":
         return int(round(F.HOP_SECONDS * sample_rate))
-    return base_feature_dim(target_kind, sample_rate) * 3 * CONTEXT_FRAMES
+    return F.FEATURE_DIMS[target_kind] * 3 * CONTEXT_FRAMES
 
 
 def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int = 16000) -> np.ndarray:

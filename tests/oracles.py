@@ -10,8 +10,11 @@ from itertools import product
 
 import numpy as np
 
+from pase import distortion as D
+from pase import features as F
 from pase import rir
-from pase.errors import UnphysicalT60
+from pase.audio_io import Waveform
+from pase.errors import TooShort, UnphysicalT60
 
 
 def naive_conv1d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -300,3 +303,163 @@ def reference_rir_pool(rng, count=50, max_order=20, sample_rate=16000):
         except UnphysicalT60:
             continue
     return pool
+
+
+# --- feature targets: the per-kind paths that `features._power` and
+# `features._SPECTRAL_MAPS` replaced, kept as the bitwise oracle for
+# `features.extract_feature` ------------------------------------------------------
+
+
+def _reference_log_power_spectrum(frames):
+    lps = np.log(np.maximum(F.power_spectrum(frames), F.LOG_FLOOR))
+    return F.FeatureMatrix(lps, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "lps")
+
+
+def _reference_mel_fbank(frames, n_filters=F.N_FILTERS):
+    weights, _ = F.mel_filterbank(n_filters)
+    energies = F.power_spectrum(frames) @ weights.T
+    vals = np.log(np.maximum(energies, F.LOG_FLOOR))
+    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "fbank")
+
+
+def _reference_mfcc(frames, n_coeffs=F.N_MFCC):
+    logmel = _reference_mel_fbank(frames).values
+    vals = logmel @ F.dct_matrix(logmel.shape[1])[:n_coeffs].T
+    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "mfcc")
+
+
+def _reference_gammatone(frames, n_filters=F.N_FILTERS):
+    weights, _, _ = F.gammatone_filterbank(n_filters)
+    energies = F.power_spectrum(frames) @ weights.T
+    vals = np.log(np.maximum(energies, F.LOG_FLOOR))
+    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "gammatone")
+
+
+_REFERENCE_LONG_SEGMENTS = int((F.LONG_WINDOW_SECONDS - F.SHORT_WINDOW_SECONDS) / F.HOP_SECONDS) + 1
+
+
+def _reference_long_power(wave):
+    """200 ms power spectral estimate per 10 ms frame (averaged periodograms)."""
+    sr = wave.sample_rate
+    win = int(round(F.SHORT_WINDOW_SECONDS * sr))
+    hop = int(round(F.HOP_SECONDS * sr))
+    if len(wave) < win:
+        raise TooShort("long-window features need at least one short window")
+    n = len(wave) // hop
+    frames = F._frame_raw(
+        F.pre_emphasize(wave.samples), win, hop, n_frames=n + _REFERENCE_LONG_SEGMENTS - 1
+    )
+    frames *= np.hamming(win)
+    p = F.power_spectrum(frames)
+    csum = np.cumsum(p, axis=0)
+    csum = np.concatenate([np.zeros((1, p.shape[1])), csum], axis=0)
+    return (csum[_REFERENCE_LONG_SEGMENTS:] - csum[:-_REFERENCE_LONG_SEGMENTS])[:n] / _REFERENCE_LONG_SEGMENTS
+
+
+def _reference_long_window_features(wave, kind):
+    base = kind[:-5] if kind.endswith("_long") else kind
+    if base not in F.SHORT_KINDS:
+        raise ValueError(f"no long-window variant for kind {kind!r}")
+    p = _reference_long_power(wave)
+    if base == "lps":
+        vals = np.log(np.maximum(p, F.LOG_FLOOR))
+    elif base == "fbank":
+        weights, _ = F.mel_filterbank()
+        vals = np.log(np.maximum(p @ weights.T, F.LOG_FLOOR))
+    elif base == "mfcc":
+        weights, _ = F.mel_filterbank()
+        logmel = np.log(np.maximum(p @ weights.T, F.LOG_FLOOR))
+        vals = logmel @ F.dct_matrix(logmel.shape[1])[:F.N_MFCC].T
+    else:  # gammatone
+        weights, _, _ = F.gammatone_filterbank()
+        vals = np.log(np.maximum(p @ weights.T, F.LOG_FLOOR))
+    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.LONG_WINDOW_SECONDS, base + "_long")
+
+
+def reference_extract_feature(wave, kind):
+    """One framing and one FFT pass per kind, with the four spectral maps
+    written out separately for the short and the long windows."""
+    if kind in F.LONG_KINDS:
+        return _reference_long_window_features(wave, kind)
+    if kind == "prosody":
+        return F.prosody(wave)
+    if kind not in F.SHORT_KINDS:
+        raise ValueError(f"unknown feature kind {kind!r}")
+    frames = F.frame_signal(
+        Waveform(F.pre_emphasize(wave.samples), wave.sample_rate),
+        F.SHORT_WINDOW_SECONDS,
+        F.HOP_SECONDS,
+    )
+    if kind == "lps":
+        return _reference_log_power_spectrum(frames)
+    if kind == "fbank":
+        return _reference_mel_fbank(frames)
+    if kind == "mfcc":
+        return _reference_mfcc(frames)
+    return _reference_gammatone(frames)
+
+
+def reference_contaminate(chunk, cfg, rng, speaker_id=None):
+    """Draw and apply each distortion in turn, the Generator interleaved
+    with the signal work: the oracle for `distortion.contaminate`."""
+    cfg.validate()
+    D._check_pools(cfg, speaker_id)
+    x = Waveform(np.array(chunk.samples, dtype=np.float32), chunk.sample_rate)
+    applied: list[dict] = []
+
+    if cfg.reverb.enabled and rng.random() < cfg.reverb.p:
+        idx = int(rng.integers(len(cfg.reverb.rir_pool)))
+        x = D.apply_reverb(x, cfg.reverb.rir_pool[idx])
+        applied.append({"kind": "reverb", "rir_index": idx})
+
+    if cfg.noise.enabled and rng.random() < cfg.noise.p:
+        idx = int(rng.integers(len(cfg.noise.noise_pool)))
+        noise = cfg.noise.noise_pool[idx]
+        offset = int(rng.integers(len(noise.samples)))
+        snr_db = float(rng.uniform(*cfg.noise.snr_range_db))
+        fitted = Waveform(
+            D._fit_length(noise.samples, len(x.samples), offset), x.sample_rate
+        )
+        x = D.mix_noise(x, fitted, snr_db)
+        applied.append(
+            {"kind": "noise", "noise_index": idx, "offset": offset, "snr_db": snr_db}
+        )
+
+    if cfg.freq_mask.enabled and rng.random() < cfg.freq_mask.p:
+        idx = int(rng.integers(len(cfg.freq_mask.band_pool)))
+        f_lo, f_hi = cfg.freq_mask.band_pool[idx]
+        x = D.apply_freq_mask(x, (f_lo, f_hi))
+        applied.append({"kind": "freq_mask", "f_lo": float(f_lo), "f_hi": float(f_hi)})
+
+    if cfg.temporal_mask.enabled and rng.random() < cfg.temporal_mask.p:
+        n = len(x.samples)
+        max_len = max(1, int(cfg.temporal_mask.max_fraction * n))
+        length = int(rng.integers(1, max_len + 1))
+        start = int(rng.integers(0, n - length + 1))
+        x = D.apply_temporal_mask(x, start, length)
+        applied.append({"kind": "temporal_mask", "start": start, "length": length})
+
+    if cfg.clip.enabled and rng.random() < cfg.clip.p:
+        saturation = float(rng.uniform(*cfg.clip.saturation_range))
+        x = D.apply_clip(x, saturation)
+        applied.append({"kind": "clip", "saturation": saturation})
+
+    if cfg.overlap.enabled and rng.random() < cfg.overlap.p:
+        pool = cfg.overlap.speech_pool
+        if speaker_id is None:
+            candidates = list(range(len(pool)))
+        else:
+            candidates = [i for i, (_, spk) in enumerate(pool) if spk != speaker_id]
+        idx = candidates[int(rng.integers(len(candidates)))]
+        other = pool[idx][0]
+        offset = int(rng.integers(len(other.samples)))
+        gain_db = float(rng.uniform(*cfg.overlap.gain_range_db))
+        fitted = Waveform(
+            D._fit_length(other.samples, len(x.samples), offset), x.sample_rate
+        )
+        x = D.apply_overlap(x, fitted, gain_db)
+        applied.append(
+            {"kind": "overlap", "speech_index": idx, "offset": offset, "gain_db": gain_db}
+        )
+
+    return D._final_clamp(x), applied

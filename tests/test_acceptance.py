@@ -6,6 +6,7 @@ roughly 5 minutes of audio, 30 epochs, fixed seed).
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pase.trainer as T
 import pase.workers as W
 from pase.audio_io import Chunk, Waveform
 from pase.autodiff import Tensor
-from pase.config import TrainConfig
+from pase.config import TrainConfig, load_train_config
 from pase.distortion import DistortionConfig, apply_freq_mask, contaminate, mix_noise
 from pase.encoder import Encoder, EncoderConfig, QRNNLayer, sinc_bandpass_kernels
 from pase.features import (
@@ -41,6 +42,7 @@ from oracles import (
 )
 
 SR = 16000
+DESK_CONFIG = Path(__file__).parent.parent / "configs" / "desk.conf"
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -56,33 +58,16 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 def toy_run(tmp_path_factory):
     """Desk-scale pretraining: 20 utterances, 4 speakers, 30 epochs, fixed seed.
 
-    The run uses desk-scale optimization settings (small batches for more
+    The run uses the desk recipe in configs/desk.conf (small batches for more
     optimizer steps, a mildly larger initial rate, gentler distortion
     severity); the shipped config defaults stay at the full-scale recipe.
     """
     root = tmp_path_factory.mktemp("acceptance")
     corpus = make_toy_corpus(str(root / "corpus"), seed=0)
-    cfg = TrainConfig(
-        clean_manifest=corpus["train"],
-        noise_manifest=corpus["noise"],
-        checkpoint_dir=str(root / "ckpt"),
-        batch_size=2,
-        lim_triples_per_chunk=64,
-        gim_negatives_per_chunk=16,
-        lr0=2e-3,
-        schedule_power=0.7,
-        rir_max_order=12,
-        seed=20260808,
-    )
-    dist = cfg.distortion
-    dist.reverb.p = 0.25
-    dist.noise.p = 0.3
-    dist.noise.snr_range_db = (5.0, 10.0)
-    dist.freq_mask.p = 0.2
-    dist.temporal_mask.p = 0.1
-    dist.temporal_mask.max_fraction = 0.1
-    dist.clip.p = 0.1
-    dist.overlap.p = 0.05
+    cfg = load_train_config(str(DESK_CONFIG))
+    cfg.clean_manifest = corpus["train"]
+    cfg.noise_manifest = corpus["noise"]
+    cfg.checkpoint_dir = str(root / "ckpt")
     started = time.time()
     final = pretrain(cfg)
     wall = time.time() - started

@@ -148,6 +148,13 @@ def test_manifest_empty_is_valid(tmp_path):
     assert len(load_manifest(str(path))) == 0
 
 
+def test_manifest_rir_role_rejected(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("u\ts\tu.wav\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_manifest(str(path), role="rir")
+
+
 def test_manifest_parse_is_deterministic(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("b\ts\tb.wav\na\ts\ta.wav\n", encoding="utf-8")

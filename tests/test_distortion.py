@@ -25,7 +25,7 @@ from pase.errors import (
 )
 from pase.rir import ImpulseResponse
 
-from oracles import measured_snr_db, naive_full_convolution
+from oracles import measured_snr_db, naive_full_convolution, reference_contaminate
 
 SR = 16000
 
@@ -332,3 +332,24 @@ def test_contaminate_activation_rates_binomial(rng):
     for kind, p in p_true.items():
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(counts[kind] / n - p) <= 3 * sigma, kind
+
+
+@pytest.mark.parametrize("p", [1.0, 0.6, None])
+@pytest.mark.parametrize("speaker_id", [None, "spkA"])
+def test_contaminate_matches_interleaved_reference(rng, p, speaker_id):
+    """Drawing the whole log before applying it gives the audio, the log and
+    the Generator state of drawing and applying each distortion in turn;
+    p=None keeps the default per-distortion probabilities."""
+    cfg = small_pools_config(rng)
+    if p is not None:
+        for name in ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap"):
+            getattr(cfg, name).p = p
+    gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(25):
+        chunk = chunk_of(rng.uniform(-0.9, 0.9, int(rng.integers(400, 9000))))
+        out, applied = contaminate(chunk, cfg, gen, speaker_id=speaker_id)
+        want, want_applied = reference_contaminate(chunk, cfg, ref_gen, speaker_id=speaker_id)
+        assert applied == want_applied
+        assert out.samples.dtype == want.samples.dtype
+        assert out.samples.tobytes() == want.samples.tobytes()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state

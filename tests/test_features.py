@@ -7,7 +7,12 @@ import pase.features as F
 from pase.audio_io import Waveform
 from pase.errors import EvenWindow, TooFewFrames, TooShort
 
-from oracles import naive_dct2_orthonormal, naive_deltas, naive_dft_power
+from oracles import (
+    naive_dct2_orthonormal,
+    naive_deltas,
+    naive_dft_power,
+    reference_extract_feature,
+)
 
 SR = 16000
 
@@ -255,7 +260,7 @@ def test_stack_context_edge_replication(rng):
 def test_long_window_same_grid():
     wave = wave_of(np.random.default_rng(3).uniform(-0.5, 0.5, 32000))
     for kind in ("lps_long", "mfcc_long", "fbank_long", "gammatone_long"):
-        out = F.long_window_features(wave, kind)
+        out = F.extract_feature(wave, kind)
         assert out.values.shape[0] == 200
         assert out.window == pytest.approx(0.200)
         assert out.hop == pytest.approx(0.010)
@@ -267,13 +272,13 @@ def test_long_window_reduces_variance_on_stationary_noise(rng):
         Waveform(F.pre_emphasize(wave.samples), SR), 0.025, 0.010
     )
     short = F.mel_fbank(frames).values
-    long = F.long_window_features(wave, "fbank_long").values
+    long = F.extract_feature(wave, "fbank_long").values
     interior = slice(0, 350)  # skip the tail where the long window pads
     assert long[interior].var(axis=0).mean() < short[interior].var(axis=0).mean()
 
 
 def test_long_window_zero_signal_hits_floor():
-    out = F.long_window_features(wave_of(np.zeros(SR)), "lps_long")
+    out = F.extract_feature(wave_of(np.zeros(SR)), "lps_long")
     assert np.allclose(out.values, np.log(F.LOG_FLOOR))
 
 
@@ -285,6 +290,32 @@ def test_extract_feature_dispatch_and_dims():
         out = F.extract_feature(wave, kind)
         assert out.values.shape == (200, d), kind
         assert out.kind == kind
+
+
+@pytest.mark.parametrize("silent", [False, True])
+@pytest.mark.parametrize("n", [400, 401, 3199, 32000, 40000])
+def test_extract_feature_matches_per_kind_reference_bitwise(n, silent):
+    """Every kind equals the separate short/long paths it replaced, byte for byte."""
+    wave = wave_of(np.zeros(n) if silent else np.random.default_rng(n).uniform(-0.8, 0.8, n))
+    for kind in F.FEATURE_KINDS:
+        got = F.extract_feature(wave, kind)
+        want = reference_extract_feature(wave, kind)
+        assert got.values.dtype == want.values.dtype, kind
+        assert got.values.shape == want.values.shape, kind
+        assert got.values.tobytes() == want.values.tobytes(), kind
+        assert (got.hop, got.window, got.kind) == (want.hop, want.window, want.kind)
+        assert got.dims == F.FEATURE_DIMS[kind]
+
+
+def test_extract_feature_rejects_short_input_and_unknown_kinds():
+    short = wave_of(np.random.default_rng(1).uniform(-0.5, 0.5, 399))
+    for kind in F.FEATURE_KINDS:
+        with pytest.raises(TooShort):
+            F.extract_feature(short, kind)
+    wave = wave_of(np.zeros(SR))
+    for kind in ("wave", "prosody_long", "foo"):
+        with pytest.raises(ValueError):
+            F.extract_feature(wave, kind)
 
 
 def test_translation_consistency_one_hop():

@@ -9,7 +9,7 @@ from pase.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from pase.config import default_config_text, load_train_config
+from pase.config import TrainConfig, default_config_text, load_train_config
 from pase.errors import ChecksumMismatch, IncompatibleVersion, MalformedContainer
 from pase.features import read_pfea, write_pfea
 
@@ -159,8 +159,44 @@ bands = 100:200 300:600
     assert cfg.distortion.freq_mask.band_pool == ((100.0, 200.0), (300.0, 600.0))
 
 
+def test_desk_config_is_the_desk_recipe():
+    """configs/desk.conf holds exactly the recipe the demo and the acceptance
+    run used to spell out in code; only manifests and checkpoint_dir vary."""
+    desk = Path(__file__).parent.parent / "configs" / "desk.conf"
+    cfg = load_train_config(str(desk))
+    cfg.clean_manifest, cfg.noise_manifest, cfg.checkpoint_dir = "c.tsv", "n.tsv", "ckpt"
+    want = TrainConfig(
+        clean_manifest="c.tsv",
+        noise_manifest="n.tsv",
+        checkpoint_dir="ckpt",
+        batch_size=2,
+        lim_triples_per_chunk=64,
+        gim_negatives_per_chunk=16,
+        lr0=2e-3,
+        schedule_power=0.7,
+        rir_max_order=12,
+        seed=20260808,
+    )
+    dist = want.distortion
+    dist.reverb.p = 0.25
+    dist.noise.p = 0.3
+    dist.noise.snr_range_db = (5.0, 10.0)
+    dist.freq_mask.p = 0.2
+    dist.temporal_mask.p = 0.1
+    dist.temporal_mask.max_fraction = 0.1
+    dist.clip.p = 0.1
+    dist.overlap.p = 0.05
+    assert cfg == want
+
+
+def test_config_with_stale_probe_section_loads(tmp_path):
+    path = tmp_path / "old.conf"
+    path.write_text("[train]\nepochs = 2\n\n[probe]\nepochs = 100\nlr = 0.01\n", encoding="utf-8")
+    cfg = load_train_config(str(path))
+    assert cfg.epochs == 2
+
+
 def test_config_batch_size_one_is_single_utterance_error(tmp_path):
-    from pase.config import TrainConfig
     from pase.errors import SingleUtteranceBatch
 
     cfg = TrainConfig(batch_size=1)
