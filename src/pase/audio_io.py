@@ -23,7 +23,6 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-CANONICAL_RATE = 16000
 CHUNK_SECONDS = 2.0
 
 PCM16 = "pcm16"

@@ -1,19 +1,21 @@
 """Key=value configuration files (INI sections) for training and the CLI.
 
 The config file is the single source of hyperparameters; command-line flags
-only pick files and seeds. Distortion sections default to the standard
-activation probabilities: reverb 0.5, noise 0.4, freq mask 0.4, temporal
-mask 0.2, clip 0.2, overlap 0.1.
+only pick files and seeds. The file layout is derived from the dataclasses,
+so each key and its default are declared once, as a field: `[corpus]` holds
+the manifests, `[train]` every other scalar `TrainConfig` field, and one
+section per distortion holds that spec's fields. A `(low, high)` field
+`x_range[_unit]` is the two keys `x_low[_unit]` and `x_high[_unit]`.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
-from .distortion import DEFAULT_BAND_POOL, DistortionConfig
+from .distortion import DISTORTION_ORDER, DistortionConfig
 from .encoder import EncoderConfig
-from .errors import SingleUtteranceBatch
+from .errors import ConfigError, SingleUtteranceBatch
 
 
 @dataclass
@@ -44,150 +46,115 @@ class TrainConfig:
             # never satisfy the contrastive workers
             raise SingleUtteranceBatch("batch_size must be >= 2 (contrastive workers)")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         self.distortion.validate()
         self.encoder.validate()
 
 
-_DISTORTION_SECTIONS = ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap")
+# the comment written above a key, or above a section and a blank line
+_COMMENTS = {
+    "clean_manifest": "tab-separated manifests: utterance_id <TAB> speaker_id <TAB> wav_path",
+    "overlap_manifest": "empty -> overlap speech is drawn from the clean corpus itself",
+    "rir_count": "impulse-response pool generated at startup",
+    "lim_triples_per_chunk": "contrastive samples drawn per chunk at every step",
+    DISTORTION_ORDER[0]: "--- distortions: each fires independently with probability p ---",
+    "bands": "octave-wide band-stop pool, hz pairs lo:hi",
+}
+# values the generated file shows in place of an empty default
+_EXAMPLES = {"clean_manifest": "train.tsv", "noise_manifest": "noise.tsv"}
+
+
+def _slots(cfg: TrainConfig):
+    """Every key of the file, in file order, as (section, key, owner, field,
+    index): the value is `owner.field`, or its element `index` when the
+    field is a (low, high) range. The start-up pools are not config."""
+    scalars = [f.name for f in fields(cfg) if not is_dataclass(getattr(cfg, f.name))]
+    for name in sorted(scalars, key=lambda n: not n.endswith("_manifest")):
+        yield "corpus" if name.endswith("_manifest") else "train", name, cfg, name, None
+    for section in DISTORTION_ORDER:
+        spec = getattr(cfg.distortion, section)
+        for f in fields(spec):
+            if isinstance(getattr(spec, f.name), list):
+                continue
+            if "_range" in f.name:
+                yield section, f.name.replace("range", "low"), spec, f.name, 0
+                yield section, f.name.replace("range", "high"), spec, f.name, 1
+            else:  # a pool of (lo, hi) pairs, `x_pool`, is the key `xs`
+                yield section, f.name.replace("_pool", "s"), spec, f.name, None
+
+
+def _get(owner, name: str, index: int | None):
+    value = getattr(owner, name)
+    return value if index is None else value[index]
+
+
+def _set(owner, name: str, index: int | None, value) -> None:
+    if index is not None:
+        pair = list(getattr(owner, name))
+        pair[index] = value
+        value = tuple(pair)
+    setattr(owner, name, value)
+
+
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return " ".join(f"{lo:g}:{hi:g}" for lo, hi in value)
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
+def _parse(section: configparser.SectionProxy, key: str, default):
+    """The value of `key` as the type of `default`."""
+    if isinstance(default, bool):
+        return section.getboolean(key)
+    text = section[key]
+    if isinstance(default, tuple):
+        pairs = (token.partition(":") for token in text.split())
+        return tuple((float(lo), float(hi)) for lo, _, hi in pairs)
+    return type(default)(text)
 
 
 def default_config_text() -> str:
     """A fully commented config with every default spelled out."""
-    bands = " ".join(f"{lo:g}:{hi:g}" for lo, hi in DEFAULT_BAND_POOL)
-    return f"""\
-# pase training configuration (UTF-8, ini-style key=value sections)
-
-[corpus]
-# tab-separated manifests: utterance_id <TAB> speaker_id <TAB> wav_path
-clean_manifest = train.tsv
-noise_manifest = noise.tsv
-# empty -> overlap speech is drawn from the clean corpus itself
-overlap_manifest =
-
-[train]
-checkpoint_dir = checkpoints
-batch_size = 32
-epochs = 30
-lr0 = 0.001
-schedule_power = 1.0
-seed = 0
-log_interval = 1
-# impulse-response pool generated at startup
-rir_count = 50
-rir_max_order = 20
-stats_chunks_per_utterance = 1
-# contrastive samples drawn per chunk at every step
-lim_triples_per_chunk = 24
-gim_negatives_per_chunk = 8
-
-# --- distortions: each fires independently with probability p ---
-
-[reverb]
-enabled = true
-p = 0.5
-
-[noise]
-enabled = true
-p = 0.4
-snr_low_db = 0
-snr_high_db = 10
-
-[freq_mask]
-enabled = true
-p = 0.4
-# octave-wide band-stop pool, hz pairs lo:hi
-bands = {bands}
-
-[temporal_mask]
-enabled = true
-p = 0.2
-max_fraction = 0.25
-
-[clip]
-enabled = true
-p = 0.2
-saturation_low = 0.3
-saturation_high = 0.9
-
-[overlap]
-enabled = true
-p = 0.1
-gain_low_db = 3
-gain_high_db = 15
-"""
-
-
-def _read_distortion(parser: configparser.ConfigParser) -> DistortionConfig:
-    cfg = DistortionConfig()
-    for name in _DISTORTION_SECTIONS:
-        if not parser.has_section(name):
-            continue
-        section = parser[name]
-        spec = getattr(cfg, name)
-        spec.enabled = section.getboolean("enabled", spec.enabled)
-        spec.p = section.getfloat("p", spec.p)
-    if parser.has_section("noise"):
-        s = parser["noise"]
-        cfg.noise.snr_range_db = (
-            s.getfloat("snr_low_db", cfg.noise.snr_range_db[0]),
-            s.getfloat("snr_high_db", cfg.noise.snr_range_db[1]),
-        )
-    if parser.has_section("freq_mask") and parser["freq_mask"].get("bands"):
-        bands = []
-        for token in parser["freq_mask"]["bands"].split():
-            lo, _, hi = token.partition(":")
-            bands.append((float(lo), float(hi)))
-        cfg.freq_mask.band_pool = tuple(bands)
-    if parser.has_section("temporal_mask"):
-        cfg.temporal_mask.max_fraction = parser["temporal_mask"].getfloat(
-            "max_fraction", cfg.temporal_mask.max_fraction
-        )
-    if parser.has_section("clip"):
-        s = parser["clip"]
-        cfg.clip.saturation_range = (
-            s.getfloat("saturation_low", cfg.clip.saturation_range[0]),
-            s.getfloat("saturation_high", cfg.clip.saturation_range[1]),
-        )
-    if parser.has_section("overlap"):
-        s = parser["overlap"]
-        cfg.overlap.gain_range_db = (
-            s.getfloat("gain_low_db", cfg.overlap.gain_range_db[0]),
-            s.getfloat("gain_high_db", cfg.overlap.gain_range_db[1]),
-        )
-    return cfg
+    lines = ["# pase training configuration (UTF-8, ini-style key=value sections)"]
+    current = None
+    for section, key, owner, name, index in _slots(TrainConfig()):
+        if section != current:
+            current = section
+            if section in _COMMENTS:
+                lines += ["", f"# {_COMMENTS[section]}"]
+            lines += ["", f"[{section}]"]
+        if key in _COMMENTS:
+            lines.append(f"# {_COMMENTS[key]}")
+        value = _EXAMPLES.get(key) or _render(_get(owner, name, index))
+        lines.append(f"{key} = {value}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def load_train_config(path: str) -> TrainConfig:
+    """Read a config file over the defaults. An unknown key in a known
+    section, or a value that does not parse, raises `ConfigError`; unknown
+    sections (such as an older file's `[probe]`) are ignored."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
 
     cfg = TrainConfig()
-    if parser.has_section("corpus"):
-        s = parser["corpus"]
-        cfg.clean_manifest = s.get("clean_manifest", cfg.clean_manifest)
-        cfg.noise_manifest = s.get("noise_manifest", cfg.noise_manifest)
-        cfg.overlap_manifest = s.get("overlap_manifest", cfg.overlap_manifest) or ""
-    if parser.has_section("train"):
-        s = parser["train"]
-        cfg.checkpoint_dir = s.get("checkpoint_dir", cfg.checkpoint_dir)
-        cfg.batch_size = s.getint("batch_size", cfg.batch_size)
-        cfg.epochs = s.getint("epochs", cfg.epochs)
-        cfg.lr0 = s.getfloat("lr0", cfg.lr0)
-        cfg.schedule_power = s.getfloat("schedule_power", cfg.schedule_power)
-        cfg.seed = s.getint("seed", cfg.seed)
-        cfg.log_interval = s.getint("log_interval", cfg.log_interval)
-        cfg.rir_count = s.getint("rir_count", cfg.rir_count)
-        cfg.rir_max_order = s.getint("rir_max_order", cfg.rir_max_order)
-        cfg.stats_chunks_per_utterance = s.getint(
-            "stats_chunks_per_utterance", cfg.stats_chunks_per_utterance
-        )
-        cfg.lim_triples_per_chunk = s.getint(
-            "lim_triples_per_chunk", cfg.lim_triples_per_chunk
-        )
-        cfg.gim_negatives_per_chunk = s.getint(
-            "gim_negatives_per_chunk", cfg.gim_negatives_per_chunk
-        )
-    cfg.distortion = _read_distortion(parser)
+    slots = {(section, key): slot for section, key, *slot in _slots(cfg)}
+    known = {section for section, _ in slots}
+    for section in parser.sections():
+        if section not in known:
+            continue
+        for key in parser[section]:
+            if (section, key) not in slots:
+                raise ConfigError(f"{path}: [{section}] {key}: unknown key")
+            owner, name, index = slots[section, key]
+            try:
+                value = _parse(parser[section], key, _get(owner, name, index))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+            _set(owner, name, index, value)
     return cfg

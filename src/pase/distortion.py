@@ -18,6 +18,7 @@ import numpy as np
 
 from .audio_io import Chunk, Waveform
 from .errors import (
+    ConfigError,
     EmptyPool,
     InvalidBand,
     OutOfRange,
@@ -35,6 +36,8 @@ BAND_STOP_TAPS = 255
 # high enough that a 255-tap filter still reaches 20 dB at the notch center
 DEFAULT_BAND_POOL = ((250.0, 500.0), (500.0, 1000.0), (1000.0, 2000.0),
                      (2000.0, 4000.0), (3500.0, 7000.0))
+
+DISTORTION_ORDER = ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap")
 
 
 @dataclass
@@ -92,19 +95,19 @@ class DistortionConfig:
     overlap: OverlapSpec = field(default_factory=OverlapSpec)
 
     def validate(self) -> None:
-        for name in ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap"):
+        for name in DISTORTION_ORDER:
             spec = getattr(self, name)
             if not 0.0 <= spec.p <= 1.0:
-                raise ValueError(f"{name}: probability {spec.p} outside [0, 1]")
+                raise ConfigError(f"{name}: probability {spec.p} outside [0, 1]")
         if self.noise.snr_range_db[0] > self.noise.snr_range_db[1]:
-            raise ValueError("noise: snr range inverted")
+            raise ConfigError("noise: snr range inverted")
         if self.overlap.gain_range_db[0] > self.overlap.gain_range_db[1]:
-            raise ValueError("overlap: gain range inverted")
+            raise ConfigError("overlap: gain range inverted")
         if not 0.0 < self.temporal_mask.max_fraction <= 1.0:
-            raise ValueError("temporal_mask: max_fraction outside (0, 1]")
+            raise ConfigError("temporal_mask: max_fraction outside (0, 1]")
         lo, hi = self.clip.saturation_range
         if not (0.0 < lo <= hi <= 1.0):
-            raise ValueError("clip: saturation range outside (0, 1]")
+            raise ConfigError("clip: saturation range outside (0, 1]")
 
 
 def _fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -224,9 +227,6 @@ def apply_overlap(wave: Waveform, other: Waveform, gain_db: float) -> Waveform:
     if clamped:
         log.info("apply_overlap: sum exceeded full scale, clamped")
     return Waveform(mixed.astype(np.float32), wave.sample_rate)
-
-
-DISTORTION_ORDER = ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap")
 
 
 def _check_pools(cfg: DistortionConfig, speaker_id: str | None) -> None:

@@ -5,7 +5,7 @@ and a single causal QRNN layer, producing 256-dim embeddings every 10 ms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,40 +46,37 @@ class EncoderConfig:
             raise ValueError(f"stride product {self.hop_samples} != hop {want}")
 
     def to_meta(self) -> dict:
-        return {
-            "sample_rate": str(self.sample_rate),
-            "sinc_filters": str(self.sinc_filters),
-            "sinc_kernel": str(self.sinc_kernel),
-            "sinc_stride": str(self.sinc_stride),
-            "block_channels": ",".join(map(str, self.block_channels)),
-            "block_kernels": ",".join(map(str, self.block_kernels)),
-            "block_strides": ",".join(map(str, self.block_strides)),
-            "qrnn_hidden": str(self.qrnn_hidden),
-            "qrnn_kernel": str(self.qrnn_kernel),
-            "embedding_dim": str(self.embedding_dim),
-            "sinc_min_low_hz": str(self.sinc_min_low_hz),
-            "sinc_min_band_hz": str(self.sinc_min_band_hz),
-        }
+        meta = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            meta[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        return meta
 
     @classmethod
     def from_meta(cls, meta: dict) -> "EncoderConfig":
-        def ints(key):
-            return tuple(int(v) for v in meta[key].split(","))
+        def parse(text: str, default):
+            if isinstance(default, tuple):
+                return tuple(type(default[0])(v) for v in text.split(","))
+            return type(default)(text)
 
-        return cls(
-            sample_rate=int(meta["sample_rate"]),
-            sinc_filters=int(meta["sinc_filters"]),
-            sinc_kernel=int(meta["sinc_kernel"]),
-            sinc_stride=int(meta["sinc_stride"]),
-            block_channels=ints("block_channels"),
-            block_kernels=ints("block_kernels"),
-            block_strides=ints("block_strides"),
-            qrnn_hidden=int(meta["qrnn_hidden"]),
-            qrnn_kernel=int(meta["qrnn_kernel"]),
-            embedding_dim=int(meta["embedding_dim"]),
-            sinc_min_low_hz=float(meta["sinc_min_low_hz"]),
-            sinc_min_band_hz=float(meta["sinc_min_band_hz"]),
-        )
+        return cls(**{f.name: parse(meta[f.name], f.default) for f in fields(cls)})
+
+
+def _sinc_cutoffs(p_low, p_band, sample_rate, min_low_hz, min_band_hz):
+    """The sinc layer's band edges from its unconstrained parameters.
+
+    f1 = min_low + |p_low| and f2 = f1 + min_band + |p_band|, both capped
+    below Nyquist, so 0 < f1 < f2 < fs/2 for any parameter values. The map
+    runs in float64 so the minimum bandwidth holds exactly. Returns f1, f2
+    and, for the gradient, whether each raw value was below its cap.
+    """
+    cap_hi = sample_rate / 2.0 - 1.0
+    cap_lo = cap_hi - min_band_hz
+    f1_raw = min_low_hz + np.abs(p_low.astype(np.float64))
+    f1 = np.minimum(f1_raw, cap_lo)
+    f2_raw = f1 + min_band_hz + np.abs(p_band.astype(np.float64))
+    f2 = np.minimum(f2_raw, cap_hi)
+    return f1, f2, f1_raw < cap_lo, f2_raw < cap_hi
 
 
 def sinc_bandpass_kernels(
@@ -92,21 +89,15 @@ def sinc_bandpass_kernels(
 ) -> Tensor:
     """Realize band-pass FIR kernels from unconstrained cutoff parameters.
 
-    f1 = min_low + |p_low| and f2 = f1 + min_band + |p_band|, both capped
-    below Nyquist, so 0 < f1 < f2 < fs/2 for any parameter values. The kernel
-    is the difference of two windowed sinc low-passes; the gradient w.r.t.
-    the cutoffs is analytic (d/df of f*sinc(2fm/fs) is cos(2*pi*f*m/fs)).
+    The band edges come from `_sinc_cutoffs`, so 0 < f1 < f2 < fs/2 for any
+    parameter values. The kernel is the difference of two windowed sinc
+    low-passes; the gradient w.r.t. the cutoffs is analytic (d/df of
+    f*sinc(2fm/fs) is cos(2*pi*f*m/fs)).
     """
     fs = float(sample_rate)
-    nyquist = fs / 2.0
-    cap_hi = nyquist - 1.0
-    cap_lo = cap_hi - min_band_hz
-
-    # constraint map in float64 so the minimum bandwidth holds exactly
-    f1_raw = min_low_hz + np.abs(p_low.data.astype(np.float64))
-    f1 = np.minimum(f1_raw, cap_lo)
-    f2_raw = f1 + min_band_hz + np.abs(p_band.data.astype(np.float64))
-    f2 = np.minimum(f2_raw, cap_hi)
+    f1, f2, f1_uncapped, f2_uncapped = _sinc_cutoffs(
+        p_low.data, p_band.data, sample_rate, min_low_hz, min_band_hz
+    )
 
     m = (np.arange(kernel_size) - (kernel_size - 1) / 2.0)[None, :]  # (1, K)
     window = np.hamming(kernel_size)[None, :]
@@ -122,8 +113,8 @@ def sinc_bandpass_kernels(
         gk = g[:, 0, :]
         d_f2 = (gk * (2.0 / fs) * np.cos(2.0 * np.pi * f2c * m / fs) * window).sum(axis=1)
         d_f1 = (gk * -(2.0 / fs) * np.cos(2.0 * np.pi * f1c * m / fs) * window).sum(axis=1)
-        f2_free = (f2_raw < cap_hi).astype(g.dtype)
-        f1_free = (f1_raw < cap_lo).astype(g.dtype)
+        f2_free = f2_uncapped.astype(g.dtype)
+        f1_free = f1_uncapped.astype(g.dtype)
         d_pband = d_f2 * f2_free * np.sign(p_band.data)
         d_plow = (d_f1 + d_f2 * f2_free) * f1_free * np.sign(p_low.data)
         return d_plow, d_pband
@@ -152,14 +143,9 @@ class SincLayer:
 
     def cutoffs(self) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.cfg
-        cap_hi = cfg.sample_rate / 2.0 - 1.0
-        cap_lo = cap_hi - cfg.sinc_min_band_hz
-        f1 = np.minimum(
-            cfg.sinc_min_low_hz + np.abs(self.p_low.data.astype(np.float64)), cap_lo
-        )
-        f2 = np.minimum(
-            f1 + cfg.sinc_min_band_hz + np.abs(self.p_band.data.astype(np.float64)),
-            cap_hi,
+        f1, f2, _, _ = _sinc_cutoffs(
+            self.p_low.data, self.p_band.data,
+            cfg.sample_rate, cfg.sinc_min_low_hz, cfg.sinc_min_band_hz,
         )
         return f1, f2
 
@@ -327,12 +313,12 @@ class Encoder:
         self.emb_b = Parameter("encoder/emb/b", np.zeros(cfg.embedding_dim, dtype=np.float32))
 
         # cumulative stride after each block, for skip-path downsampling
-        self.cum_strides = []
+        cum_strides = []
         acc = cfg.sinc_stride
         for s in cfg.block_strides:
             acc *= s
-            self.cum_strides.append(acc)
-        self.skip_selects = [cfg.hop_samples // s for s in self.cum_strides]
+            cum_strides.append(acc)
+        self.skip_selects = [cfg.hop_samples // s for s in cum_strides]
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         """(B, 1, T) waveform batch -> (B, emb_dim, T // hop) embeddings."""

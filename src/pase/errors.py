@@ -5,6 +5,10 @@ class PaseError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ConfigError(PaseError, ValueError):
+    """A config key is unknown, or a setting does not parse or is out of range."""
+
+
 # --- audio ingestion / emission -------------------------------------------
 
 class MalformedContainer(PaseError):

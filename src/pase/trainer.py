@@ -18,7 +18,7 @@ from .audio_io import Chunk, Waveform, chunk_samples, draw_chunk, load_manifest,
 from .autodiff import Tensor
 from .checkpoint import ADAM_PREFIX, STATS_PREFIX, load_checkpoint, save_checkpoint
 from .config import TrainConfig
-from .distortion import DistortionConfig, contaminate
+from .distortion import DistortionConfig, _check_pools, contaminate
 from .encoder import Encoder, EncoderConfig
 from .errors import DegenerateSplit, EmptyCorpus, NonFiniteLoss
 from .features import HOP_SECONDS, write_pfea
@@ -148,7 +148,8 @@ def _with_pools(cfg: TrainConfig, corpus: list[CorpusEntry], rng) -> DistortionC
     """A copy of `cfg.distortion` with the pool of every active reverb, noise
     and overlap distortion built; the reverb pool is the only one that draws
     from `rng`. `cfg` is left unchanged, so a reused config starts the next
-    run from the same state."""
+    run from the same state. An active distortion whose pool is still empty
+    raises `EmptyPool` here, before any output is written."""
     sample_rate = cfg.encoder.sample_rate
     dist = cfg.distortion
     reverb, noise, overlap = replace(dist.reverb), replace(dist.noise), replace(dist.overlap)
@@ -163,7 +164,9 @@ def _with_pools(cfg: TrainConfig, corpus: list[CorpusEntry], rng) -> DistortionC
             else corpus
         )
         overlap.speech_pool = [(e.wave, e.speaker_id) for e in overlap_corpus]
-    return replace(dist, reverb=reverb, noise=noise, overlap=overlap)
+    dist = replace(dist, reverb=reverb, noise=noise, overlap=overlap)
+    _check_pools(dist, None)
+    return dist
 
 
 def _distinct_draw(entry: CorpusEntry, first: Chunk, rng) -> Chunk:
@@ -201,88 +204,86 @@ def pretrain(cfg: TrainConfig) -> str:
     schedule = PolySchedule(cfg.lr0, total_steps, cfg.schedule_power)
     adam = Adam(model.parameters())
     csv_path = os.path.join(cfg.checkpoint_dir, "losses.csv")
-    csv = open(csv_path, "w", encoding="utf-8")
-    csv.write("step,worker,loss\n")
+    with open(csv_path, "w", encoding="utf-8") as csv:
+        csv.write("step,worker,loss\n")
 
-    regression_specs = [s for s in model.workers.roster if s.kind == "regression"]
-    step = 0
-    final_path = os.path.join(cfg.checkpoint_dir, "final.pckp")
-    for epoch in range(1, cfg.epochs + 1):
-        for batch in _epoch_batches(len(corpus), cfg.batch_size, rng):
-            entries = [corpus[i] for i in batch]
-            if len({e.utterance_id for e in entries}) < 2:
-                entries[-1] = corpus[(batch[-1] + 1) % len(corpus)]
-            step += 1
+        regression_specs = [s for s in model.workers.roster if s.kind == "regression"]
+        step = 0
+        final_path = os.path.join(cfg.checkpoint_dir, "final.pckp")
+        for epoch in range(1, cfg.epochs + 1):
+            for batch in _epoch_batches(len(corpus), cfg.batch_size, rng):
+                entries = [corpus[i] for i in batch]
+                if len({e.utterance_id for e in entries}) < 2:
+                    entries[-1] = corpus[(batch[-1] + 1) % len(corpus)]
+                step += 1
 
-            chunks_a, chunks_b, dist_a = [], [], []
-            for entry in entries:
-                a = draw_chunk(entry.wave, rng, entry.utterance_id)
-                b = _distinct_draw(entry, a, rng)
-                xa, log_a = contaminate(a, dist, rng, speaker_id=entry.speaker_id)
-                xb, _ = contaminate(b, dist, rng, speaker_id=entry.speaker_id)
-                chunks_a.append((a, xa))
-                chunks_b.append((b, xb))
-                dist_a.append(log_a)
+                chunks_a, chunks_b, dist_a = [], [], []
+                for entry in entries:
+                    a = draw_chunk(entry.wave, rng, entry.utterance_id)
+                    b = _distinct_draw(entry, a, rng)
+                    xa, log_a = contaminate(a, dist, rng, speaker_id=entry.speaker_id)
+                    xb, _ = contaminate(b, dist, rng, speaker_id=entry.speaker_id)
+                    chunks_a.append((a, xa))
+                    chunks_b.append((b, xb))
+                    dist_a.append(log_a)
 
-            xa = Tensor(np.stack([x.samples for _, x in chunks_a])[:, None, :])
-            xb = Tensor(np.stack([x.samples for _, x in chunks_b])[:, None, :])
-            emb_a = model.encoder.forward(xa, training=True)
-            emb_b = model.encoder.forward(xb, training=True)
+                xa = Tensor(np.stack([x.samples for _, x in chunks_a])[:, None, :])
+                xb = Tensor(np.stack([x.samples for _, x in chunks_b])[:, None, :])
+                emb_a = model.encoder.forward(xa, training=True)
+                emb_b = model.encoder.forward(xb, training=True)
 
-            utt_ids = [e.utterance_id for e in entries]
-            clean = [c.samples for c, _ in chunks_a]
-            losses: dict[str, Tensor] = {}
-            for spec in regression_specs:
-                losses[spec.name] = W.regression_worker_loss(
-                    emb_a, clean, spec, model.workers.heads[spec.name],
-                    model.standardizer, sample_rate,
+                utt_ids = [e.utterance_id for e in entries]
+                clean = [c.samples for c, _ in chunks_a]
+                losses: dict[str, Tensor] = {}
+                for spec in regression_specs:
+                    losses[spec.name] = W.regression_worker_loss(
+                        emb_a, clean, spec, model.workers.heads[spec.name],
+                        model.standardizer, sample_rate,
+                    )
+                lim_idx = W.lim_sample(
+                    utt_ids, emb_a.shape[2], rng, per_element=cfg.lim_triples_per_chunk
                 )
-            lim_idx = W.lim_sample(
-                utt_ids, emb_a.shape[2], rng, per_element=cfg.lim_triples_per_chunk
+                losses["lim"] = W.lim_worker_loss(emb_a, lim_idx, model.workers.heads["lim"])
+                gim_idx = W.gim_sample(
+                    utt_ids,
+                    [c.offset_samples for c, _ in chunks_b],
+                    [c.offset_samples for c, _ in chunks_a],
+                    rng,
+                    per_element=cfg.gim_negatives_per_chunk,
+                )
+                losses["gim"] = W.gim_worker_loss(
+                    emb_a, emb_b, gim_idx, model.workers.heads["gim"]
+                )
+
+                total = W.total_loss(list(losses.values()))
+                if not np.isfinite(total.data):
+                    dump = {
+                        "step": step,
+                        "losses": {k: float(v.data) for k, v in losses.items()},
+                        "utterances": utt_ids,
+                        "distortions": dist_a,
+                    }
+                    dump_path = os.path.join(cfg.checkpoint_dir, f"nonfinite_step{step}.json")
+                    with open(dump_path, "w", encoding="utf-8") as fh:
+                        json.dump(dump, fh, indent=2)
+                    raise NonFiniteLoss(f"step {step}: non-finite total loss, see {dump_path}")
+
+                adam.zero_grad()
+                total.backward()
+                adam.step(schedule.lr(step - 1))
+
+                if step == 1 or step == total_steps or step % cfg.log_interval == 0:
+                    for name, value in losses.items():
+                        csv.write(f"{step},{name},{float(value.data):.8e}\n")
+                    csv.write(f"{step},total,{float(total.data):.8e}\n")
+                    csv.flush()
+                    log.info("step %d/%d total %.4f", step, total_steps, float(total.data))
+
+            save_model(
+                os.path.join(cfg.checkpoint_dir, f"epoch_{epoch:03d}.pckp"),
+                model, {"step": step, "epoch": epoch}, adam=adam,
             )
-            losses["lim"] = W.lim_worker_loss(emb_a, lim_idx, model.workers.heads["lim"])
-            gim_idx = W.gim_sample(
-                utt_ids,
-                [c.offset_samples for c, _ in chunks_b],
-                [c.offset_samples for c, _ in chunks_a],
-                rng,
-                per_element=cfg.gim_negatives_per_chunk,
-            )
-            losses["gim"] = W.gim_worker_loss(
-                emb_a, emb_b, gim_idx, model.workers.heads["gim"]
-            )
 
-            total = W.total_loss(list(losses.values()))
-            if not np.isfinite(total.data):
-                dump = {
-                    "step": step,
-                    "losses": {k: float(v.data) for k, v in losses.items()},
-                    "utterances": utt_ids,
-                    "distortions": dist_a,
-                }
-                dump_path = os.path.join(cfg.checkpoint_dir, f"nonfinite_step{step}.json")
-                with open(dump_path, "w", encoding="utf-8") as fh:
-                    json.dump(dump, fh, indent=2)
-                csv.close()
-                raise NonFiniteLoss(f"step {step}: non-finite total loss, see {dump_path}")
-
-            adam.zero_grad()
-            total.backward()
-            adam.step(schedule.lr(step - 1))
-
-            if step == 1 or step == total_steps or step % cfg.log_interval == 0:
-                for name, value in losses.items():
-                    csv.write(f"{step},{name},{float(value.data):.8e}\n")
-                csv.write(f"{step},total,{float(total.data):.8e}\n")
-                csv.flush()
-                log.info("step %d/%d total %.4f", step, total_steps, float(total.data))
-
-        save_model(
-            os.path.join(cfg.checkpoint_dir, f"epoch_{epoch:03d}.pckp"),
-            model, {"step": step, "epoch": epoch}, adam=adam,
-        )
-
-    csv.close()
     save_model(final_path, model, {"step": step, "epoch": cfg.epochs})
     return final_path
 

@@ -31,7 +31,6 @@ class WorkerSpec:
     name: str
     kind: str  # regression | lim | gim
     target_kind: str | None = None
-    hidden: int = HIDDEN_UNITS
 
 
 def default_roster() -> list[WorkerSpec]:
@@ -178,7 +177,6 @@ class LimSample:
     positive_frame: np.ndarray
     negative_elem: np.ndarray
     negative_frame: np.ndarray
-    utterance_ids: tuple
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,6 @@ class GimSample:
     """Per element: positive is its second chunk, negative another utterance's."""
 
     negative_elem: np.ndarray
-    utterance_ids: tuple
     overlap_fallback: tuple  # elements whose two draws could not be distinct
 
 
@@ -224,7 +221,6 @@ def lim_sample(
         positive_frame=positive_frame.astype(np.int64),
         negative_elem=neg_elem,
         negative_frame=negative_frame.astype(np.int64),
-        utterance_ids=tuple(utterance_ids),
     )
 
 
@@ -233,7 +229,6 @@ def gim_sample(
 ) -> GimSample:
     return GimSample(
         negative_elem=_negative_elements(utterance_ids, rng, per_element),
-        utterance_ids=tuple(utterance_ids),
         overlap_fallback=tuple(
             i
             for i, (a, b) in enumerate(zip(first_draw_offsets, second_draw_offsets))

@@ -39,6 +39,23 @@ def test_config_requires_160_sample_hop():
         bad.validate()
 
 
+def test_default_meta_strings():
+    assert EncoderConfig().to_meta() == {
+        "sample_rate": "16000",
+        "sinc_filters": "64",
+        "sinc_kernel": "251",
+        "sinc_stride": "1",
+        "block_channels": "64,128,128,256,256,256,256",
+        "block_kernels": "21,11,11,11,11,11,11",
+        "block_strides": "10,2,2,2,2,1,1",
+        "qrnn_hidden": "256",
+        "qrnn_kernel": "2",
+        "embedding_dim": "256",
+        "sinc_min_low_hz": "30.0",
+        "sinc_min_band_hz": "50.0",
+    }
+
+
 def test_config_meta_round_trip():
     cfg = small_config()
     back = EncoderConfig.from_meta(cfg.to_meta())

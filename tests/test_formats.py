@@ -1,3 +1,5 @@
+import configparser
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from pase.checkpoint import (
     save_checkpoint,
 )
 from pase.config import TrainConfig, default_config_text, load_train_config
-from pase.errors import ChecksumMismatch, IncompatibleVersion, MalformedContainer
+from pase.errors import ChecksumMismatch, ConfigError, IncompatibleVersion, MalformedContainer
 from pase.features import read_pfea, write_pfea
 
 
@@ -116,6 +118,74 @@ def test_default_config_matches_standard_probabilities(tmp_path):
     assert cfg.batch_size == 32
     assert cfg.lr0 == pytest.approx(1e-3)
     assert cfg.epochs == 30
+
+
+def test_default_config_text_loads_to_the_defaults(tmp_path):
+    path = tmp_path / "default.conf"
+    path.write_text(default_config_text(), encoding="utf-8")
+    cfg = load_train_config(str(path))
+    # the two manifests show example values; every other key its default
+    assert cfg == TrainConfig(clean_manifest="train.tsv", noise_manifest="noise.tsv")
+
+
+def _config_leaves(cfg: TrainConfig) -> dict:
+    """Every settable value: the scalar fields of the config and of each
+    distortion spec, with each end of a (low, high) range on its own."""
+    owners = {"": cfg, **{f.name + ".": getattr(cfg.distortion, f.name)
+                          for f in fields(cfg.distortion)}}
+    leaves = {}
+    for prefix, owner in owners.items():
+        for f in fields(owner):
+            value = getattr(owner, f.name)
+            if f.name in ("distortion", "encoder") or isinstance(value, list):
+                continue
+            if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], float):
+                leaves[prefix + f.name + "[0]"], leaves[prefix + f.name + "[1]"] = value
+            else:
+                leaves[prefix + f.name] = value
+    return leaves
+
+
+def _other_value(text: str) -> str:
+    if text in ("true", "false"):
+        return "false" if text == "true" else "true"
+    if ":" in text:
+        return "100:200"
+    try:
+        return str(float(text) + 1.0) if "." in text else str(int(text) + 1)
+    except ValueError:
+        return text + "-other"
+
+
+def test_each_config_key_sets_exactly_one_field(tmp_path):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(default_config_text())
+    defaults = _config_leaves(TrainConfig())
+    reached = []
+    for section in parser.sections():
+        for key, text in parser[section].items():
+            path = tmp_path / f"{section}.{key}.conf"
+            path.write_text(f"[{section}]\n{key} = {_other_value(text)}\n", encoding="utf-8")
+            leaves = _config_leaves(load_train_config(str(path)))
+            changed = [name for name in defaults if leaves[name] != defaults[name]]
+            assert len(changed) == 1, (section, key, changed)
+            reached += changed
+    assert sorted(reached) == sorted(defaults)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[train]\nbatch_sise = 8\n", "[train] batch_sise"),
+    ("[noise]\nsnr_low = 5\n", "[noise] snr_low"),
+    ("[train]\nbatch_size = eight\n", "[train] batch_size"),
+    ("[clip]\nenabled = maybe\n", "[clip] enabled"),
+    ("[freq_mask]\nbands = 100-200\n", "[freq_mask] bands"),
+], ids=["misspelt-key", "misspelt-range-key", "bad-int", "bad-bool", "bad-bands"])
+def test_config_typo_raises_config_error(tmp_path, text, where):
+    path = tmp_path / "typo.conf"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_train_config(str(path))
+    assert str(path) in str(info.value) and where in str(info.value)
 
 
 def test_shipped_default_config_is_generated():

@@ -10,7 +10,7 @@ import pase.workers as W
 from pase.audio_io import Waveform, read_wav, write_wav
 from pase.autodiff import Tensor
 from pase.config import TrainConfig
-from pase.errors import EmptyCorpus, NonFiniteLoss
+from pase.errors import EmptyCorpus, EmptyPool, NonFiniteLoss
 from pase.features import read_pfea
 
 
@@ -184,6 +184,18 @@ def test_pretrain_rejects_tiny_corpus(tmp_path, micro_corpus):
     cfg.clean_manifest = str(manifest)
     with pytest.raises(EmptyCorpus):
         T.pretrain(cfg)
+
+
+def test_empty_noise_pool_fails_before_any_output(micro_corpus, tmp_path):
+    cfg = micro_train_config(micro_corpus, tmp_path / "out", noise_manifest="")
+    cfg.distortion.noise.p = 1.0
+    with pytest.raises(EmptyPool):
+        T.pretrain(cfg)
+    assert not (tmp_path / "out" / "init.pckp").exists()
+    assert not (tmp_path / "out" / "losses.csv").exists()
+    with pytest.raises(EmptyPool):
+        T.contaminate_corpus(cfg, micro_corpus["train"], str(tmp_path / "dirty"), seed=0)
+    assert not (tmp_path / "dirty").exists()
 
 
 def test_pretrain_aborts_on_nonfinite_loss(micro_corpus, tmp_path, monkeypatch):
