@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import (
     DuplicateId,
-    IoFailure,
     MalformedContainer,
     MissingField,
     UnsupportedEncoding,
 )
+from .files import read_file, write_file
 
 log = logging.getLogger(__name__)
 
@@ -86,12 +86,7 @@ def _parse_fmt(body: bytes):
 
 def read_wav(path: str) -> Waveform:
     """Read a PCM-16 or float-32 WAV file, first channel only, scaled to [-1, 1]."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
+    raw = read_file(path)
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedContainer(f"{path}: not a RIFF/WAVE container")
 
@@ -99,9 +94,9 @@ def read_wav(path: str) -> Waveform:
     data = None
     pos = 12
     while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = raw[pos + 8 : pos + 8 + size]
+        cid = bytes(raw[pos : pos + 4])
+        (size,) = struct.unpack_from("<I", raw, pos + 4)
+        body = memoryview(raw)[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise MalformedContainer(f"{path}: truncated {cid!r} chunk")
         if cid == b"fmt ":
@@ -148,43 +143,29 @@ def write_wav(wave: Waveform, path: str, encoding: str = F32) -> None:
     """Write `wave` as RIFF/WAVE. pcm16 rounds to nearest with clamping."""
     x = np.asarray(wave.samples, dtype=np.float32)
     if encoding == PCM16:
-        ints = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
-        payload = ints.tobytes()
-        fmt = struct.pack("<HHIIHH", 1, 1, wave.sample_rate, wave.sample_rate * 2, 2, 16)
+        payload, tag = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2"), 1
     elif encoding == F32:
-        payload = x.astype("<f4").tobytes()
-        fmt = struct.pack("<HHIIHH", 3, 1, wave.sample_rate, wave.sample_rate * 4, 4, 32)
+        payload, tag = np.ascontiguousarray(x, dtype="<f4"), 3
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
-
-    blob = b"WAVE"
-    blob += b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    blob += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        blob += b"\x00"
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"RIFF" + struct.pack("<I", len(blob)) + blob)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    rate, width, n = wave.sample_rate, payload.itemsize, payload.nbytes
+    # n is even (2- or 4-byte samples), so the data chunk needs no pad byte
+    head = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n, b"WAVE", b"fmt ", 16,
+                       tag, 1, rate, rate * width, width, 8 * width, b"data", n)
+    write_file(path, (head, payload))
 
 
 def load_manifest(path: str, role: str = "clean_speech") -> CorpusManifest:
     """Parse a tab-separated manifest: `utterance_id<TAB>speaker_id<TAB>path`."""
     if role not in MANIFEST_ROLES:
         raise ValueError(f"unknown manifest role {role!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
+    lines = read_file(path).decode("utf-8").splitlines()
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        fields = line.rstrip("\r").split("\t")
+        fields = line.split("\t")
         if len(fields) != 3 or any(not f for f in fields):
             raise MissingField(f"{path}:{lineno}: expected 3 tab-separated fields")
         utt, spk, wav_path = fields

@@ -17,12 +17,14 @@ skip them.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
-from .errors import ChecksumMismatch, IncompatibleVersion, IoFailure, MalformedContainer
+from .errors import ChecksumMismatch, IncompatibleVersion, MalformedContainer
+from .files import read_file, write_file
 
 PCKP_MAGIC = b"PCKP"
 PCKP_VERSION = 1
@@ -48,64 +50,52 @@ def decode_meta(blob: bytes) -> dict[str, str]:
 
 def save_checkpoint(path: str, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:
     """Write named float32 arrays plus a key=value meta block."""
-    parts = [PCKP_MAGIC, struct.pack("<I", PCKP_VERSION)]
     meta_blob = encode_meta(meta)
-    parts.append(struct.pack("<I", len(meta_blob)))
-    parts.append(meta_blob)
-    parts.append(struct.pack("<I", len(arrays)))
+    parts = [PCKP_MAGIC, struct.pack("<II", PCKP_VERSION, len(meta_blob)), meta_blob,
+             struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"parameter name too long: {name!r}")
         a = np.ascontiguousarray(arr, dtype="<f4")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", a.ndim))
-        parts.append(struct.pack(f"<{a.ndim}I", *a.shape) if a.ndim else b"")
-        parts.append(a.tobytes())
-    blob = b"".join(parts)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape), a]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
+    write_file(path, parts)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    """Named arrays and meta of a PCKP file. The arrays are views of one read
+    buffer, so a caller that keeps an array copies it; a kept view holds the
+    whole file in memory."""
+    blob = read_file(path)
     if len(blob) < 16 or blob[:4] != PCKP_MAGIC:
         raise MalformedContainer(f"{path}: not a PCKP file")
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
+    if zlib.crc32(memoryview(blob)[:-4]) != stored_crc:
         raise ChecksumMismatch(f"{path}: CRC mismatch")
-    (version,) = struct.unpack("<I", blob[4:8])
+    version, meta_len = struct.unpack_from("<II", blob, 4)
     if version != PCKP_VERSION:
         raise IncompatibleVersion(f"{path}: PCKP version {version}")
-    (meta_len,) = struct.unpack("<I", blob[8:12])
     pos = 12
     meta = decode_meta(blob[pos : pos + meta_len])
     pos += meta_len
-    (count,) = struct.unpack("<I", blob[pos : pos + 4])
+    (count,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", blob[pos : pos + 2])
+        (name_len,) = struct.unpack_from("<H", blob, pos)
         pos += 2
         name = blob[pos : pos + name_len].decode("utf-8")
         pos += name_len
         rank = blob[pos]
-        pos += 1
-        dims = struct.unpack(f"<{rank}I", blob[pos : pos + 4 * rank]) if rank else ()
-        pos += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arrays[name] = (
-            np.frombuffer(blob[pos : pos + 4 * n], dtype="<f4").reshape(dims).copy()
-        )
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 1)
+        pos += 1 + 4 * rank
+        n = math.prod(dims)
+        arrays[name] = np.frombuffer(blob, "<f4", n, pos).reshape(dims)
         pos += 4 * n
     if pos != len(blob) - 4:
         raise MalformedContainer(f"{path}: trailing bytes in container")

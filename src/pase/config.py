@@ -11,11 +11,13 @@ section per distortion holds that spec's fields. A `(low, high)` field
 from __future__ import annotations
 
 import configparser
+import io
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .distortion import DISTORTION_ORDER, DistortionConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError, SingleUtteranceBatch
+from .files import read_file
 
 
 @dataclass
@@ -137,10 +139,17 @@ def default_config_text() -> str:
 def load_train_config(path: str) -> TrainConfig:
     """Read a config file over the defaults. An unknown key in a known
     section, or a value that does not parse, raises `ConfigError`; unknown
-    sections (such as an older file's `[probe]`) are ignored."""
+    sections (such as an older file's `[probe]`) are ignored. A file that
+    does not parse as INI, such as one with a key repeated in a section,
+    raises `ConfigError` too."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        # universal newlines, as a text-mode open gives: with a lone CR as
+        # the line break, read_string would see one line and drop every key
+        text = io.StringIO(read_file(path).decode("utf-8"), newline=None)
+        parser.read_file(text, source=path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
 
     cfg = TrainConfig()
     slots = {(section, key): slot for section, key, *slot in _slots(cfg)}

@@ -14,6 +14,7 @@ span). One map per base kind, `_SPECTRAL_MAPS`, serves both window lengths.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,11 +25,11 @@ from .audio_io import Waveform
 from .errors import (
     EvenWindow,
     IncompatibleVersion,
-    IoFailure,
     MalformedContainer,
     TooFewFrames,
     TooShort,
 )
+from .files import read_file, write_file
 
 HOP_SECONDS = 0.010
 SHORT_WINDOW_SECONDS = 0.025
@@ -387,35 +388,28 @@ def write_pfea(path: str, values: np.ndarray, meta: dict) -> None:
     if values.ndim != 2:
         raise ValueError("PFEA stores rank-2 matrices")
     arr = np.ascontiguousarray(values, dtype="<f4")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(PFEA_MAGIC)
-            fh.write(struct.pack("<III", PFEA_VERSION, arr.shape[0], arr.shape[1]))
-            fh.write(arr.tobytes())
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, (PFEA_MAGIC, struct.pack("<III", PFEA_VERSION, *arr.shape), arr))
+    write_file(path + ".json", (json.dumps(meta, indent=2, sort_keys=True).encode("utf-8"),))
 
 
 def read_pfea(path: str) -> tuple[np.ndarray, dict]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    """The matrix and JSON sidecar of a PFEA file; a missing sidecar reads as
+    `{}`. The matrix is a view of the one buffer the file was read into, which
+    holds only 16 header bytes besides it, so it is returned without a copy."""
+    raw = read_file(path)
     if len(raw) < 16 or raw[:4] != PFEA_MAGIC:
         raise MalformedContainer(f"{path}: not a PFEA file")
-    version, frames, dims = struct.unpack("<III", raw[4:16])
+    version, frames, dims = struct.unpack_from("<III", raw, 4)
     if version != PFEA_VERSION:
         raise IncompatibleVersion(f"{path}: PFEA version {version}")
-    need = 16 + 4 * frames * dims
-    if len(raw) < need:
-        raise MalformedContainer(f"{path}: truncated payload")
-    values = np.frombuffer(raw[16:need], dtype="<f4").reshape(frames, dims).copy()
+    if len(raw) != 16 + 4 * frames * dims:
+        raise MalformedContainer(
+            f"{path}: {len(raw) - 16} payload bytes for a {frames}x{dims} float32 matrix"
+        )
+    values = np.frombuffer(raw, "<f4", frames * dims, 16).reshape(frames, dims)
+    if not os.path.exists(path + ".json"):
+        return values, {}
     try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except OSError:
-        meta = {}
-    return values, meta
+        return values, json.loads(read_file(path + ".json").decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise MalformedContainer(f"{path}.json: {exc}") from None

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import Waveform, write_wav
+from .files import write_file
 
 SAMPLE_RATE = 16000
 
@@ -197,9 +198,7 @@ def make_toy_corpus(
     paths = {}
     for name, rows in (("train", train_rows), ("probe", probe_rows), ("noise", noise_rows)):
         manifest = os.path.join(out_dir, f"{name}.tsv")
-        with open(manifest, "w", encoding="utf-8") as fh:
-            fh.write(f"# synthetic toy corpus ({name})\n")
-            for utt, spk, path in rows:
-                fh.write(f"{utt}\t{spk}\t{path}\n")
+        lines = [f"# synthetic toy corpus ({name})"] + ["\t".join(row) for row in rows]
+        write_file(manifest, (f"{line}\n".encode("utf-8") for line in lines))
         paths[name] = manifest
     return paths

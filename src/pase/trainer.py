@@ -14,14 +14,24 @@ import numpy as np
 
 from . import autodiff as ad
 from . import workers as W
-from .audio_io import Chunk, Waveform, chunk_samples, draw_chunk, load_manifest, read_wav, write_wav
+from .audio_io import (
+    CHUNK_SECONDS,
+    Chunk,
+    Waveform,
+    chunk_samples,
+    draw_chunk,
+    load_manifest,
+    read_wav,
+    write_wav,
+)
 from .autodiff import Tensor
 from .checkpoint import ADAM_PREFIX, STATS_PREFIX, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .distortion import DistortionConfig, _check_pools, contaminate
 from .encoder import Encoder, EncoderConfig
-from .errors import DegenerateSplit, EmptyCorpus, NonFiniteLoss
+from .errors import DegenerateSplit, EmptyCorpus, MalformedContainer, NonFiniteLoss
 from .features import HOP_SECONDS, write_pfea
+from .files import write_file
 from .optim import Adam, PolySchedule
 from .rir import default_rir_pool
 
@@ -101,11 +111,14 @@ def load_model(path: str) -> tuple[Model, dict[str, str]]:
     enc_cfg = EncoderConfig.from_meta(meta)
     model = build_model(enc_cfg, np.random.default_rng(0))
     for p in model.parameters():
-        if p.name not in arrays:
-            raise KeyError(f"checkpoint missing parameter {p.name}")
-        if arrays[p.name].shape != p.data.shape:
-            raise ValueError(f"shape mismatch for {p.name}")
-        p.data = arrays[p.name].copy()
+        stored = arrays.get(p.name)
+        if stored is None:
+            raise MalformedContainer(f"{path}: missing parameter {p.name}")
+        if stored.shape != p.data.shape:
+            raise MalformedContainer(
+                f"{path}: parameter {p.name} has shape {stored.shape}, not {p.data.shape}"
+            )
+        p.data = stored.copy()  # an aligned array of its own, not a view of the file
     for name, buf in model.encoder.buffers().items():
         if name in arrays:
             buf[...] = arrays[name]
@@ -148,10 +161,12 @@ def _with_pools(cfg: TrainConfig, corpus: list[CorpusEntry], rng) -> DistortionC
     """A copy of `cfg.distortion` with the pool of every active reverb, noise
     and overlap distortion built; the reverb pool is the only one that draws
     from `rng`. `cfg` is left unchanged, so a reused config starts the next
-    run from the same state. An active distortion whose pool is still empty
-    raises `EmptyPool` here, before any output is written."""
+    run from the same state. An out-of-range distortion setting raises
+    `ConfigError`, and an active distortion whose pool is still empty raises
+    `EmptyPool`, here, before any output is written."""
     sample_rate = cfg.encoder.sample_rate
     dist = cfg.distortion
+    dist.validate()
     reverb, noise, overlap = replace(dist.reverb), replace(dist.noise), replace(dist.overlap)
     if reverb.enabled and reverb.p > 0:
         reverb.rir_pool = default_rir_pool(rng, cfg.rir_count, cfg.rir_max_order, sample_rate)
@@ -264,8 +279,7 @@ def pretrain(cfg: TrainConfig) -> str:
                         "distortions": dist_a,
                     }
                     dump_path = os.path.join(cfg.checkpoint_dir, f"nonfinite_step{step}.json")
-                    with open(dump_path, "w", encoding="utf-8") as fh:
-                        json.dump(dump, fh, indent=2)
+                    write_file(dump_path, [json.dumps(dump, indent=2).encode("utf-8")])
                     raise NonFiniteLoss(f"step {step}: non-finite total loss, see {dump_path}")
 
                 adam.zero_grad()
@@ -318,11 +332,11 @@ def extract(checkpoint_path: str, manifest_path: str, out_dir: str) -> list[str]
         path = os.path.join(out_dir, entry.utterance_id + ".pfea")
         write_pfea(
             path,
-            emb.astype(np.float32),
+            emb,
             {
                 "kind": "embedding",
                 "hop": HOP_SECONDS,
-                "window": 2.0,
+                "window": CHUNK_SECONDS,
                 "utterance_id": entry.utterance_id,
                 "sample_rate": sample_rate,
                 "dims": int(emb.shape[1]),
@@ -421,8 +435,7 @@ def probe(cfg: ProbeConfig) -> dict:
         "confusion_matrix": confusion.tolist(),
     }
     if cfg.out_json:
-        with open(cfg.out_json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        write_file(cfg.out_json, [json.dumps(report, indent=2, sort_keys=True).encode("utf-8")])
     return report
 
 

@@ -101,9 +101,11 @@ class TargetStandardizer:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copies each statistic: a kept view of a loaded checkpoint would
+        hold the whole file in memory."""
         for kind in self.kinds:
-            self.mean[kind] = arrays[f"__stats__/{kind}/mean"]
-            self.std[kind] = arrays[f"__stats__/{kind}/std"]
+            self.mean[kind] = arrays[f"__stats__/{kind}/mean"].copy()
+            self.std[kind] = arrays[f"__stats__/{kind}/std"].copy()
 
 
 def _init_linear(rng, out_dim, in_dim):

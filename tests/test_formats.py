@@ -51,6 +51,23 @@ def test_pfea_rejects_bad_files(tmp_path):
     with pytest.raises(MalformedContainer):
         read_pfea(str(truncated))
 
+    trailing = tmp_path / "trailing.pfea"
+    trailing.write_bytes(b"PFEA" + np.array([1, 1, 2], dtype="<u4").tobytes() + b"\x00" * 12)
+    with pytest.raises(MalformedContainer):
+        read_pfea(str(trailing))
+
+
+def test_pfea_sidecar_missing_or_broken(tmp_path):
+    path = tmp_path / "x.pfea"
+    write_pfea(str(path), np.zeros((2, 3), dtype=np.float32), {"kind": "embedding"})
+    sidecar = tmp_path / "x.pfea.json"
+    sidecar.write_text('{"kind": "emb', encoding="utf-8")
+    with pytest.raises(MalformedContainer):
+        read_pfea(str(path))
+    sidecar.unlink()
+    values, meta = read_pfea(str(path))
+    assert values.shape == (2, 3) and meta == {}
+
 
 def test_checkpoint_round_trip(tmp_path, rng):
     arrays = {
@@ -179,7 +196,10 @@ def test_each_config_key_sets_exactly_one_field(tmp_path):
     ("[train]\nbatch_size = eight\n", "[train] batch_size"),
     ("[clip]\nenabled = maybe\n", "[clip] enabled"),
     ("[freq_mask]\nbands = 100-200\n", "[freq_mask] bands"),
-], ids=["misspelt-key", "misspelt-range-key", "bad-int", "bad-bool", "bad-bands"])
+    ("batch_size = 8\n", "no section headers"),
+    ("[train]\nepochs = 2\nepochs = 3\n", "'epochs' in section 'train' already exists"),
+], ids=["misspelt-key", "misspelt-range-key", "bad-int", "bad-bool", "bad-bands",
+        "no-section-header", "duplicate-key"])
 def test_config_typo_raises_config_error(tmp_path, text, where):
     path = tmp_path / "typo.conf"
     path.write_text(text, encoding="utf-8")

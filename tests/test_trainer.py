@@ -10,7 +10,8 @@ import pase.workers as W
 from pase.audio_io import Waveform, read_wav, write_wav
 from pase.autodiff import Tensor
 from pase.config import TrainConfig
-from pase.errors import EmptyCorpus, EmptyPool, NonFiniteLoss
+from pase.checkpoint import load_checkpoint, save_checkpoint
+from pase.errors import ConfigError, EmptyCorpus, EmptyPool, MalformedContainer, NonFiniteLoss
 from pase.features import read_pfea
 
 
@@ -98,6 +99,28 @@ def test_checkpoint_round_trip_embeddings(trained, tmp_path, rng):
     model2, _ = T.load_model(again)
     emb_second = model2.encoder.encode(chunk)
     assert np.array_equal(emb_first, emb_second)
+
+
+def test_loaded_model_owns_aligned_arrays(trained):
+    model, _ = T.load_model(trained["final"])
+    stats = list(model.standardizer.mean.values()) + list(model.standardizer.std.values())
+    assert stats
+    for array in [p.data for p in model.parameters()] + stats:
+        assert array.flags.owndata and array.flags.aligned
+
+
+@pytest.mark.parametrize("damage", ["drop", "reshape"])
+def test_load_model_names_a_missing_or_misshapen_parameter(trained, tmp_path, damage):
+    arrays, meta = load_checkpoint(trained["final"])
+    name = "encoder/block3/conv/w"
+    if damage == "drop":
+        del arrays[name]
+    else:
+        arrays[name] = arrays[name].reshape(-1)
+    path = str(tmp_path / "damaged.pckp")
+    save_checkpoint(path, arrays, meta)
+    with pytest.raises(MalformedContainer, match=name):
+        T.load_model(path)
 
 
 def test_extract_shapes_and_determinism(trained, tmp_path):
@@ -210,6 +233,14 @@ def test_pretrain_aborts_on_nonfinite_loss(micro_corpus, tmp_path, monkeypatch):
     assert len(dumps) == 1
     dump = json.load(open(tmp_path / "out" / dumps[0]))
     assert "losses" in dump and "utterances" in dump
+
+
+def test_contaminate_corpus_validates_before_any_output(micro_corpus, tmp_path):
+    cfg = micro_train_config(micro_corpus, tmp_path / "ck")
+    cfg.distortion.clip.p = 1.5
+    with pytest.raises(ConfigError):
+        T.contaminate_corpus(cfg, micro_corpus["train"], str(tmp_path / "dirty"), seed=0)
+    assert not (tmp_path / "dirty").exists()
 
 
 def test_contaminate_corpus_all_off_is_bitwise_identity(micro_corpus, tmp_path):
