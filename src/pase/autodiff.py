@@ -2,8 +2,23 @@
 
 A Tensor wraps an ndarray; every op built here records its inputs and a
 vector-Jacobian closure on the output node. `backward()` on a scalar walks
-the recorded graph once in reverse topological order, accumulates gradients
-into leaf tensors that asked for them, and then frees the tape.
+the recorded graph once in reverse topological order and accumulates
+gradients into leaf tensors that asked for them.
+
+What the tape keeps alive, and for how long:
+- A node keeps a reference only to the parents that need a gradient; the
+  slot of a parent that needs none holds None, so the vjp's outputs still
+  line up with the op's inputs.
+- A vjp closure keeps what it reads and nothing it can rebuild: a padded
+  copy of the input, a normalized input or a sign mask is recomputed from
+  the parent's `.data`, which is alive anyway, by the same expression, so
+  the gradient is bitwise the one a saved copy gives. A closure that reads
+  a buffer its caller may change later (batchnorm's running mean) keeps a
+  copy taken at forward time.
+- `backward()` frees the tape node by node: each node drops its vjp and
+  its parents as it is visited, so an activation the caller does not hold
+  dies when its node is visited, after every vjp that reads it has run.
+  After the walk every node is a leaf.
 
 Compute defaults to float32; building tensors from float64 arrays keeps
 float64, which is what the finite-difference checks rely on.
@@ -84,32 +99,21 @@ class Tensor:
 
         order = _topo_order(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        while order:
+            # popped, so the list no longer keeps the node (and its data) alive
+            node = order.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.is_leaf:
-                if node.requires_grad:
+            vjp, parents = node._vjp, node._parents
+            # the tape is per-pass: unlink each node as it is visited
+            node._vjp, node._parents = None, ()
+            if vjp is None:
+                if g is not None and node.requires_grad:
                     if node.grad is None:
                         node.grad = np.zeros_like(node.data)
                     node.grad += g.astype(node.data.dtype, copy=False)
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = np.asarray(pg)
-                else:
-                    # not in-place: pg may alias another node's grad buffer,
-                    # and numpy scalars would silently drop the update
-                    grads[id(parent)] = acc + pg
-        # tape is per-pass: drop recorded closures so intermediates can be freed
-        for node in order:
-            if not node.is_leaf:
-                node._parents = ()
-                node._vjp = None
+            if g is not None:
+                _accumulate(grads, parents, vjp(g))
 
 
 class Parameter(Tensor):
@@ -123,6 +127,20 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+
+def _accumulate(grads: dict, parents: tuple, parent_grads: tuple) -> None:
+    """Add each parent's vjp output into `grads`, keyed by the parent's id."""
+    for parent, pg in zip(parents, parent_grads):
+        if pg is None or parent is None:
+            continue
+        acc = grads.get(id(parent))
+        if acc is None:
+            grads[id(parent)] = np.asarray(pg)
+        else:
+            # not in-place: pg may alias another node's grad buffer,
+            # and numpy scalars would silently drop the update
+            grads[id(parent)] = acc + pg
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -139,14 +157,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent is not None and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
 
 def _from_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp)
+        kept = tuple(p if p.requires_grad else None for p in parents)
+        return Tensor(data, requires_grad=True, _parents=kept, _vjp=vjp)
     return Tensor(data)
 
 
@@ -229,10 +248,10 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     if x.ndim < 2 or alpha.data.shape != (x.shape[1],):
         raise ShapeMismatch(f"prelu: alpha {alpha.data.shape} vs input {x.shape}")
     a = alpha.data.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
-    neg = x.data < 0
-    out = np.where(neg, a * x.data, x.data)
+    out = np.where(x.data < 0, a * x.data, x.data)
 
     def vjp(g):
+        neg = x.data < 0
         dx = np.where(neg, a * g, g)
         da_full = np.where(neg, g * x.data, 0.0)
         axes = (0,) + tuple(range(2, x.ndim))
@@ -389,9 +408,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 _COL_BUDGET = 8_000_000
 
 
-def _col_view(xp: np.ndarray, kernel: int, stride: int):
+def _col_view(x: np.ndarray, lo: int, hi: int, padding: int, kernel: int, stride: int):
+    """Batch items lo..hi of x, zero-padded in time, as (n, C, T_out, K) windows:
+    a view of the block's padded copy, which only lives as long as the view."""
+    xp = x[lo:hi]
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding)))
     win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
-    return win[:, :, ::stride, :]  # (B, C, T_out, K), still a view
+    return win[:, :, ::stride, :]  # (n, C, T_out, K), still a view
 
 
 def conv1d(
@@ -414,7 +438,9 @@ def conv1d(
     Every output element is summed in the same order as in the transposing
     im2col reference (tests/oracles.py `reference_conv1d`), so results
     equal it bit for bit. dX and dW keep x's and w's dtypes whatever the
-    dtype of g.
+    dtype of g. Padding is applied one batch block at a time, in forward
+    and again in the dW loop, so no padded copy of the whole input is made
+    or kept on the tape.
     """
     B, C, T = x.data.shape
     O, C2, K = w.data.shape
@@ -423,15 +449,14 @@ def conv1d(
     if K > T + 2 * padding:
         raise ShapeMismatch(f"conv1d: kernel {K} longer than padded input {T + 2 * padding}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    t_out = (xp.shape[2] - K) // stride + 1
+    t_out = (T + 2 * padding - K) // stride + 1
     wm = w.data.reshape(O, C * K)
 
     block = max(1, _COL_BUDGET // max(1, t_out * C * K))
     out = np.empty((B, O, t_out), dtype=np.result_type(x.data, w.data))
     for lo in range(0, B, block):
         hi = min(B, lo + block)
-        col = _col_view(xp[lo:hi], K, stride)[:, :, :t_out]
+        col = _col_view(x.data, lo, hi, padding, K, stride)[:, :, :t_out]
         # materialize: BLAS on the overlapping-stride view is far slower
         col = np.ascontiguousarray(col.transpose(0, 2, 1, 3)).reshape(hi - lo, t_out, C * K)
         np.matmul(wm, col.transpose(0, 2, 1), out=out[lo:hi])
@@ -443,11 +468,11 @@ def conv1d(
 
     def vjp(g):
         dw = np.zeros_like(wm) if need_dw else None
-        dxp = np.zeros_like(xp) if need_dx else None
+        dxp = np.zeros_like(x.data, shape=(B, C, T + 2 * padding)) if need_dx else None
         for lo in range(0, B, block):
             hi = min(B, lo + block)
             if need_dw:
-                col = _col_view(xp[lo:hi], K, stride)[:, :, :t_out]
+                col = _col_view(x.data, lo, hi, padding, K, stride)[:, :, :t_out]
                 col = np.ascontiguousarray(col.transpose(0, 2, 1, 3)).reshape(-1, C * K)
                 dw += g[lo:hi].transpose(1, 0, 2).reshape(O, -1) @ col
             if need_dx:
@@ -480,7 +505,9 @@ def batchnorm1d(
     """Per-channel normalization over (batch, time) for (B, C, T) inputs.
 
     Training mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode uses the buffers and touches nothing.
+    buffers in place; eval mode uses the buffers and touches nothing. The
+    vjp recomputes the normalized input from x, so eval mode keeps a copy
+    of `running_mean` as it was at forward time.
     """
     B, C, T = x.data.shape
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
@@ -496,14 +523,18 @@ def batchnorm1d(
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
-        mu = running_mean
+        mu = running_mean.copy()
         var = running_var
 
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(1, C, 1)) * invstd.reshape(1, C, 1)
-    out = gamma.data.reshape(1, C, 1) * xhat + beta.data.reshape(1, C, 1)
+
+    def normalized():
+        return (x.data - mu.reshape(1, C, 1)) * invstd.reshape(1, C, 1)
+
+    out = gamma.data.reshape(1, C, 1) * normalized() + beta.data.reshape(1, C, 1)
 
     def vjp(g):
+        xhat = normalized()
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
         gx = g * gamma.data.reshape(1, C, 1)

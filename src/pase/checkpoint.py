@@ -80,23 +80,27 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     version, meta_len = struct.unpack_from("<II", blob, 4)
     if version != PCKP_VERSION:
         raise IncompatibleVersion(f"{path}: PCKP version {version}")
+    end = len(blob) - 4  # every field ends before the CRC trailer
     pos = 12
-    meta = decode_meta(blob[pos : pos + meta_len])
-    pos += meta_len
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+
+    def take(size: int) -> int:
+        """The offset of the next `size` bytes, which must fit; moves past them."""
+        nonlocal pos
+        start, pos = pos, pos + size
+        if pos > end:
+            raise MalformedContainer(f"{path}: a field runs past the end of the container")
+        return start
+
+    meta = decode_meta(blob[take(meta_len) : pos])
+    (count,) = struct.unpack_from("<I", blob, take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        rank = blob[pos]
-        dims = struct.unpack_from(f"<{rank}I", blob, pos + 1)
-        pos += 1 + 4 * rank
+        (name_len,) = struct.unpack_from("<H", blob, take(2))
+        name = blob[take(name_len) : pos].decode("utf-8")
+        rank = blob[take(1)]
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank))
         n = math.prod(dims)
-        arrays[name] = np.frombuffer(blob, "<f4", n, pos).reshape(dims)
-        pos += 4 * n
-    if pos != len(blob) - 4:
+        arrays[name] = np.frombuffer(blob, "<f4", n, take(4 * n)).reshape(dims)
+    if pos != end:
         raise MalformedContainer(f"{path}: trailing bytes in container")
     return arrays, meta

@@ -163,7 +163,8 @@ def load_train_config(path: str) -> TrainConfig:
             owner, name, index = slots[section, key]
             try:
                 value = _parse(parser[section], key, _get(owner, name, index))
-            except ValueError as exc:
+            except (ValueError, configparser.InterpolationError) as exc:
+                # interpolation stays on, so a lone `%` is an error; `%%` is a `%`
                 raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
             _set(owner, name, index, value)
     return cfg

@@ -119,12 +119,17 @@ def generate_rir_image_method(
         spans.append(np.arange(-n_lim, n_lim + 1))
     nx, ny, nz = np.meshgrid(*spans, indexing="ij")
     lattice = np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=1)
+    # wall reflections along one axis of image n with parity p: |n - p| + |n|,
+    # i.e. 2|n| for p = 0 and |n - 1| + |n| for p = 1
+    bounces = [(2 * np.abs(n), np.abs(n - 1) + np.abs(n)) for n in spans]
 
     taps = np.zeros(n_taps)
     min_dist = SPEED_OF_SOUND / sample_rate  # clamp the 1/d singularity
     for p in product((0, 1), repeat=3):
         p_arr = np.asarray(p)
-        order = (np.abs(lattice - p_arr) + np.abs(lattice)).sum(axis=1)
+        bx, by, bz = (b[parity] for b, parity in zip(bounces, p))
+        # total reflection order, in the lattice's (ij-raveled) image order
+        order = (bx[:, None, None] + by[None, :, None] + bz[None, None, :]).ravel()
         keep = order <= max_order
         if not keep.any():
             continue

@@ -211,6 +211,54 @@ def reference_conv1d(x, w, b, g, stride=1, padding=0):
     return out, dx, dw.reshape(O, C, K), db
 
 
+def reference_prelu(x, alpha, g):
+    """PReLU that keeps its sign mask for the vjp: the bitwise oracle for
+    `autodiff.prelu`, which recomputes the mask. x has channels on axis 1,
+    g is the upstream gradient. Returns (out, dx, dalpha)."""
+    a = alpha.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
+    neg = x < 0
+    out = np.where(neg, a * x, x)
+    dx = np.where(neg, a * g, g)
+    da_full = np.where(neg, g * x, 0.0)
+    axes = (0,) + tuple(range(2, x.ndim))
+    return out, dx, da_full.sum(axis=axes)
+
+
+def reference_batchnorm1d(x, gamma, beta, running_mean, running_var, training, g,
+                          momentum=0.1, eps=1e-5):
+    """Batch norm that keeps the normalized input for the vjp: the bitwise
+    oracle for `autodiff.batchnorm1d`, which recomputes it. Updates the
+    running buffers in training mode as the library does. x is (B, C, T),
+    g the upstream gradient. Returns (out, dx, dgamma, dbeta)."""
+    B, C, T = x.shape
+    n = B * T
+    if training:
+        mu = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        unbiased = var * n / max(1, n - 1)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    else:
+        mu = running_mean
+        var = running_var
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu.reshape(1, C, 1)) * invstd.reshape(1, C, 1)
+    out = gamma.reshape(1, C, 1) * xhat + beta.reshape(1, C, 1)
+
+    dgamma = (g * xhat).sum(axis=(0, 2))
+    dbeta = g.sum(axis=(0, 2))
+    gx = g * gamma.reshape(1, C, 1)
+    if training:
+        s1 = gx.sum(axis=(0, 2), keepdims=True)
+        s2 = (gx * xhat).sum(axis=(0, 2), keepdims=True)
+        dx = (invstd.reshape(1, C, 1) / n) * (n * gx - s1 - xhat * s2)
+    else:
+        dx = gx * invstd.reshape(1, C, 1)
+    return out, dx, dgamma, dbeta
+
+
 def _reference_windowed_sinc(offsets: np.ndarray) -> np.ndarray:
     w = np.where(
         np.abs(offsets) <= rir.FRAC_DELAY_HALF,

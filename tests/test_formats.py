@@ -1,4 +1,6 @@
 import configparser
+import struct
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -101,7 +103,6 @@ def test_checkpoint_version_check(tmp_path):
     save_checkpoint(path, {}, {})
     blob = bytearray(open(path, "rb").read())
     blob[4] = 9  # bump the version field
-    import zlib, struct
     body = bytes(blob[:-4])
     open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(IncompatibleVersion):
@@ -112,6 +113,21 @@ def test_checkpoint_rejects_non_pckp(tmp_path):
     path = tmp_path / "x.pckp"
     path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
     with pytest.raises(MalformedContainer):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("record", [
+    struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1000) + b"\x00" * 8,
+    struct.pack("<H", 1) + b"w" + struct.pack("<B", 200) + b"\x00" * 8,
+    struct.pack("<H", 60000) + b"w" * 8,
+], ids=["payload", "dims", "name"])
+def test_checkpoint_record_past_the_end_is_malformed(tmp_path, record):
+    # a well-formed header and a valid CRC, but the one record runs past the
+    # CRC trailer: 1000 floats over 8 bytes, 200 dims, a 60000-byte name
+    body = b"PCKP" + struct.pack("<III", 1, 0, 1) + record
+    path = tmp_path / "short.pckp"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(MalformedContainer, match="short.pckp"):
         load_checkpoint(str(path))
 
 
@@ -198,14 +214,21 @@ def test_each_config_key_sets_exactly_one_field(tmp_path):
     ("[freq_mask]\nbands = 100-200\n", "[freq_mask] bands"),
     ("batch_size = 8\n", "no section headers"),
     ("[train]\nepochs = 2\nepochs = 3\n", "'epochs' in section 'train' already exists"),
+    ("[corpus]\nclean_manifest = /data/100%/train.tsv\n", "[corpus] clean_manifest"),
 ], ids=["misspelt-key", "misspelt-range-key", "bad-int", "bad-bool", "bad-bands",
-        "no-section-header", "duplicate-key"])
+        "no-section-header", "duplicate-key", "lone-percent"])
 def test_config_typo_raises_config_error(tmp_path, text, where):
     path = tmp_path / "typo.conf"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigError) as info:
         load_train_config(str(path))
     assert str(path) in str(info.value) and where in str(info.value)
+
+
+def test_config_double_percent_is_a_percent(tmp_path):
+    path = tmp_path / "percent.conf"
+    path.write_text("[corpus]\nclean_manifest = /data/100%%/train.tsv\n", encoding="utf-8")
+    assert load_train_config(str(path)).clean_manifest == "/data/100%/train.tsv"
 
 
 def test_shipped_default_config_is_generated():

@@ -100,6 +100,22 @@ def test_taps_match_reference_bitwise(max_order, sample_rate, highpass):
         assert_same_pool([got], [reference_rir_image_method(*args)])
 
 
+@pytest.mark.parametrize("max_order", [6, 20])
+def test_reflection_orders_match_reference_in_three_rooms(max_order):
+    # reflection counts come from per-axis tables; the reference sums them
+    # over the whole image lattice for every parity
+    rooms = (
+        ((3.2, 4.1, 2.6), (0.7, 3.3, 1.9), (2.5, 0.6, 0.8), 0.3),
+        ((7.9, 5.5, 3.9), (4.0, 2.0, 1.0), (1.1, 4.9, 3.1), 0.6),
+        ((5.0, 3.0, 2.5), (2.5, 1.5, 1.25), (2.6, 1.4, 1.2), 0.9),
+    )
+    for room, src, mic, t60 in rooms:
+        args = (room, src, mic, t60, max_order)
+        assert_same_pool(
+            [generate_rir_image_method(*args)], [reference_rir_image_method(*args)]
+        )
+
+
 @pytest.mark.parametrize(
     "seed,max_order,sample_rate,count",
     [
