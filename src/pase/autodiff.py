@@ -198,19 +198,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.data.shape) if need_a else None,
-            -_unbroadcast(g, b.data.shape) if need_b else None,
-        )
-
-    return _from_op(out, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     need_a, need_b = a.requires_grad, b.requires_grad
@@ -321,32 +308,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _from_op(out, tuple(tensors), vjp)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = np.ascontiguousarray(x.data[idx])
-
-    def vjp(g):
-        dx = np.zeros_like(x.data)
-        dx[idx] = g
-        return (dx,)
-
-    return _from_op(out, (x,), vjp)
-
-
-def subsample_time(x: Tensor, step: int) -> Tensor:
-    """Strided selection x[:, :, ::step] used by skip-path downsampling."""
-    out = np.ascontiguousarray(x.data[:, :, ::step])
-
-    def vjp(g):
-        dx = np.zeros_like(x.data)
-        dx[:, :, ::step] = g
-        return (dx,)
-
-    return _from_op(out, (x,), vjp)
-
-
 def pad1d(x: Tensor, left: int, right: int) -> Tensor:
     out = np.pad(x.data, ((0, 0), (0, 0), (left, right)))
 
@@ -356,26 +317,23 @@ def pad1d(x: Tensor, left: int, right: int) -> Tensor:
     return _from_op(out, (x,), vjp)
 
 
-def gather_frames(x: Tensor, batch_idx: np.ndarray, time_idx: np.ndarray) -> Tensor:
-    """Pick frames out of a (B, C, T) tensor -> (N, C)."""
-    xt = x.data.transpose(0, 2, 1)
-    out = np.ascontiguousarray(xt[batch_idx, time_idx])
+def index(x: Tensor, idx) -> Tensor:
+    """x[idx] for any numpy index: slices, integers or integer arrays.
 
-    def vjp(g):
-        dxt = np.zeros_like(xt)
-        np.add.at(dxt, (batch_idx, time_idx), g)
-        return (dxt.transpose(0, 2, 1),)
-
-    return _from_op(out, (x,), vjp)
-
-
-def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a (N, C) tensor -> (M, C), with scatter-add backward."""
+    The vjp scatters g into zeros. An index of slices only assigns, which
+    keeps a -0.0 of g; any other index adds with np.add.at, so an element
+    picked more than once gets the sum of its gradients.
+    """
     out = np.ascontiguousarray(x.data[idx])
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    slices_only = all(isinstance(p, slice) for p in parts)
 
     def vjp(g):
         dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
+        if slices_only:
+            dx[idx] = g
+        else:
+            np.add.at(dx, idx, g)
         return (dx,)
 
     return _from_op(out, (x,), vjp)

@@ -26,7 +26,7 @@ from .errors import (
     SilentNoise,
     SilentOverlap,
 )
-from .rir import ImpulseResponse
+from .rir import ImpulseResponse, _fft_convolve
 
 log = logging.getLogger(__name__)
 
@@ -108,13 +108,6 @@ class DistortionConfig:
         lo, hi = self.clip.saturation_range
         if not (0.0 < lo <= hi <= 1.0):
             raise ConfigError("clip: saturation range outside (0, 1]")
-
-
-def _fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    n = len(x) + len(h) - 1
-    nfft = 1 << int(np.ceil(np.log2(max(n, 2))))
-    y = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft), nfft)
-    return y[:n]
 
 
 def apply_reverb(wave: Waveform, rir: ImpulseResponse) -> Waveform:

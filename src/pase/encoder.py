@@ -12,6 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ShapeMismatch, TooShort
+from .features import hz_to_mel, mel_to_hz
 
 EMBEDDING_DIM = 256
 
@@ -130,12 +131,9 @@ class SincLayer:
         n = cfg.sinc_filters
         nyquist = cfg.sample_rate / 2.0
         # mel-spaced initial cutoffs across the usable band
-        mel = np.linspace(
-            2595.0 * np.log10(1.0 + cfg.sinc_min_low_hz / 700.0),
-            2595.0 * np.log10(1.0 + (nyquist - 200.0) / 700.0),
-            n + 1,
-        )
-        hz = 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
+        hz = mel_to_hz(np.linspace(
+            hz_to_mel(cfg.sinc_min_low_hz), hz_to_mel(nyquist - 200.0), n + 1
+        ))
         f1 = hz[:-1]
         band = np.diff(hz)
         self.p_low = Parameter(f"{prefix}/p_low", f1 - cfg.sinc_min_low_hz)
@@ -226,9 +224,10 @@ class ConvBlock:
 class SkipAggregate:
     """Project every block output to the embedding width and sum them.
 
-    Each tapped activation is downsampled to the final frame rate by strided
-    selection, passed through a learned 1x1 projection, and added together
-    with the (projected) last block path.
+    Each tapped activation is downsampled to the final frame rate by one
+    strided index (every `sel`-th frame, `t_out` of them), passed through a
+    learned 1x1 projection, and added together with the (projected) last
+    block path.
     """
 
     def __init__(self, channels: tuple, emb_dim: int, rng, prefix):
@@ -244,14 +243,11 @@ class SkipAggregate:
     def forward(self, block_outputs: list[Tensor], strides: list[int], t_out: int) -> Tensor:
         total = None
         for (w, b), h, sel in zip(self.projections, block_outputs, strides):
-            if sel > 1:
-                h = ad.subsample_time(h, sel)
-            if h.shape[2] < t_out:
-                raise ShapeMismatch(
-                    f"skip path gives {h.shape[2]} frames, need {t_out}"
-                )
-            if h.shape[2] > t_out:
-                h = ad.narrow(h, 2, 0, t_out)
+            frames = -(-h.shape[2] // sel)  # len(range(0, T, sel))
+            if frames < t_out:
+                raise ShapeMismatch(f"skip path gives {frames} frames, need {t_out}")
+            if h.shape[2] != t_out:  # a path already at t_out frames passes through
+                h = ad.index(h, np.s_[:, :, : sel * t_out : sel])
             proj = ad.conv1d(h, w, b)
             total = proj if total is None else ad.add(total, proj)
         return total

@@ -59,6 +59,14 @@ def _windowed_sinc(offsets: np.ndarray) -> np.ndarray:
     return np.sinc(offsets) * w
 
 
+def _fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Full linear convolution of x and h, by FFT at the next power of two."""
+    n = len(x) + len(h) - 1
+    nfft = 1 << int(np.ceil(np.log2(max(n, 2))))
+    y = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft), nfft)
+    return y[:n]
+
+
 def _dc_block(x: np.ndarray, sample_rate: int, fc: float = DC_BLOCK_HZ) -> np.ndarray:
     """Causal one-pole DC blocker, y[n] = x[n] - x[n-1] + r y[n-1].
 
@@ -72,11 +80,7 @@ def _dc_block(x: np.ndarray, sample_rate: int, fc: float = DC_BLOCK_HZ) -> np.nd
     z[0] = x[0]
     z[1:] = x[1:] - x[:-1]
     k_len = min(len(x), int(np.ceil(np.log(1e-12) / np.log(r))) + 1)
-    kernel = r ** np.arange(k_len)
-    n = len(x) + k_len - 1
-    nfft = 1 << int(np.ceil(np.log2(n)))
-    y = np.fft.irfft(np.fft.rfft(z, nfft) * np.fft.rfft(kernel, nfft), nfft)
-    return y[: len(x)]
+    return _fft_convolve(z, r ** np.arange(k_len))[: len(x)]
 
 
 def generate_rir_image_method(

@@ -29,7 +29,13 @@ from .checkpoint import ADAM_PREFIX, STATS_PREFIX, load_checkpoint, save_checkpo
 from .config import TrainConfig
 from .distortion import DistortionConfig, _check_pools, contaminate
 from .encoder import Encoder, EncoderConfig
-from .errors import DegenerateSplit, EmptyCorpus, MalformedContainer, NonFiniteLoss
+from .errors import (
+    DegenerateSplit,
+    EmptyCorpus,
+    MalformedContainer,
+    NonFiniteLoss,
+    SampleRateMismatch,
+)
 from .features import HOP_SECONDS, write_pfea
 from .files import write_file
 from .optim import Adam, PolySchedule
@@ -51,7 +57,7 @@ def load_corpus(manifest_path: str, role: str, sample_rate: int) -> list[CorpusE
     for row in manifest:
         wave = read_wav(row.path)
         if wave.sample_rate != sample_rate:
-            raise ValueError(
+            raise SampleRateMismatch(
                 f"{row.path}: {wave.sample_rate} Hz; the trainer only accepts "
                 f"{sample_rate} Hz input (resampling is out of scope)"
             )

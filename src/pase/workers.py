@@ -139,7 +139,7 @@ def _flatten_frames(emb: Tensor, t_keep: int) -> Tensor:
     """(B, C, T) -> (B * t_keep, C), truncating the time axis first."""
     b, c, t = emb.shape
     if t > t_keep:
-        emb = ad.narrow(emb, 2, 0, t_keep)
+        emb = ad.index(emb, np.s_[:, :, :t_keep])
     return ad.reshape(ad.transpose(emb, (0, 2, 1)), (b * t_keep, c))
 
 
@@ -251,7 +251,7 @@ def infomax_loss(
     neg_anchor = anchor
     if negative.shape[0] != anchor.shape[0]:
         reps = negative.shape[0] // anchor.shape[0]
-        neg_anchor = ad.take_rows(anchor, np.repeat(np.arange(anchor.shape[0]), reps))
+        neg_anchor = ad.index(anchor, np.repeat(np.arange(anchor.shape[0]), reps))
     neg_logits = head.forward(ad.concat([neg_anchor, negative], axis=1))
     pos = ad.bce_logits_loss(
         pos_logits, np.ones(pos_logits.shape, dtype=np.float32)
@@ -264,16 +264,16 @@ def infomax_loss(
 
 
 def lim_worker_loss(emb: Tensor, sample: LimSample, head: WorkerHead) -> Tensor:
-    anchor = ad.gather_frames(emb, sample.anchor_elem, sample.anchor_frame)
-    positive = ad.gather_frames(emb, sample.anchor_elem, sample.positive_frame)
-    negative = ad.gather_frames(emb, sample.negative_elem, sample.negative_frame)
+    anchor = ad.index(emb, np.s_[sample.anchor_elem, :, sample.anchor_frame])
+    positive = ad.index(emb, np.s_[sample.anchor_elem, :, sample.positive_frame])
+    negative = ad.index(emb, np.s_[sample.negative_elem, :, sample.negative_frame])
     return infomax_loss(head, anchor, positive, negative)
 
 
 def gim_worker_loss(emb_a: Tensor, emb_b: Tensor, sample: GimSample, head: WorkerHead) -> Tensor:
     anchor = ad.mean(emb_a, axis=2)
     positive = ad.mean(emb_b, axis=2)
-    negative = ad.take_rows(positive, sample.negative_elem)
+    negative = ad.index(positive, sample.negative_elem)
     return infomax_loss(head, anchor, positive, negative)
 
 
@@ -296,7 +296,6 @@ class WorkerSet:
         if len(set(names)) != len(names):
             raise ValueError("worker names must be unique")
         self.roster = list(roster)
-        self.sample_rate = sample_rate
         self.heads: dict[str, WorkerHead] = {}
         for spec in roster:
             if spec.kind == "regression":

@@ -259,6 +259,62 @@ def reference_batchnorm1d(x, gamma, beta, running_mean, running_var, training, g
     return out, dx, dgamma, dbeta
 
 
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: a -0.0 differs from a +0.0."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# The four picking ops that `autodiff.index` replaced, kept as its bitwise
+# oracles. Each returns (out, vjp), where vjp(g) is the input gradient.
+
+
+def reference_narrow(x, axis, start, length):
+    """x[start : start + length] along `axis`; the vjp assigns into zeros."""
+    idx = [slice(None)] * x.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def vjp(g):
+        dx = np.zeros_like(x)
+        dx[idx] = g
+        return dx
+
+    return np.ascontiguousarray(x[idx]), vjp
+
+
+def reference_subsample_time(x, step):
+    """x[:, :, ::step]; the vjp assigns into zeros."""
+    def vjp(g):
+        dx = np.zeros_like(x)
+        dx[:, :, ::step] = g
+        return dx
+
+    return np.ascontiguousarray(x[:, :, ::step]), vjp
+
+
+def reference_gather_frames(x, batch_idx, time_idx):
+    """Frames of a (B, C, T) array -> (N, C), through a (B, T, C) view; the
+    vjp scatter-adds, so a frame picked twice gets both gradients."""
+    xt = x.transpose(0, 2, 1)
+
+    def vjp(g):
+        dxt = np.zeros_like(xt)
+        np.add.at(dxt, (batch_idx, time_idx), g)
+        return dxt.transpose(0, 2, 1)
+
+    return np.ascontiguousarray(xt[batch_idx, time_idx]), vjp
+
+
+def reference_take_rows(x, idx):
+    """Rows x[idx] of an (N, C) array; the vjp scatter-adds."""
+    def vjp(g):
+        dx = np.zeros_like(x)
+        np.add.at(dx, idx, g)
+        return dx
+
+    return np.ascontiguousarray(x[idx]), vjp
+
+
 def _reference_windowed_sinc(offsets: np.ndarray) -> np.ndarray:
     w = np.where(
         np.abs(offsets) <= rir.FRAC_DELAY_HALF,

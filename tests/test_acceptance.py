@@ -116,7 +116,6 @@ def _op_cases(rng):
     rv = rng.uniform(0.5, 2.0, 3)
     return {
         "add": (lambda: sq(ad.add(x, y)), [x, y]),
-        "sub": (lambda: sq(ad.sub(x, y)), [x, y]),
         "mul": (lambda: sq(ad.mul(x, y)), [x, y]),
         "sigmoid": (lambda: sq(ad.sigmoid(x)), [x]),
         "tanh": (lambda: sq(ad.tanh(x)), [x]),
@@ -126,14 +125,14 @@ def _op_cases(rng):
         "reshape": (lambda: sq(ad.reshape(x, (6, 10))), [x]),
         "transpose": (lambda: sq(ad.transpose(x, (2, 0, 1))), [x]),
         "concat": (lambda: sq(ad.concat([flat, flat], axis=1)), [flat]),
-        "narrow": (lambda: sq(ad.narrow(x, 2, 2, 5)), [x]),
-        "subsample_time": (lambda: sq(ad.subsample_time(x, 3)), [x]),
+        "index_narrow": (lambda: sq(ad.index(x, np.s_[:, :, 2:7])), [x]),
+        "index_subsample": (lambda: sq(ad.index(x, np.s_[:, :, ::3])), [x]),
         "pad1d": (lambda: sq(ad.pad1d(x, 2, 1)), [x]),
-        "gather_frames": (
-            lambda: sq(ad.gather_frames(x, np.array([0, 1, 1]), np.array([9, 0, 0]))),
+        "index_frames": (
+            lambda: sq(ad.index(x, np.s_[np.array([0, 1, 1]), :, np.array([9, 0, 0])])),
             [x],
         ),
-        "take_rows": (lambda: sq(ad.take_rows(rows, np.array([0, 4, 4, 2]))), [rows]),
+        "index_rows": (lambda: sq(ad.index(rows, np.array([0, 4, 4, 2]))), [rows]),
         "linear": (lambda: sq(ad.linear(flat, w, b)), [flat, w, b]),
         "conv1d": (
             lambda: sq(ad.conv1d(cx, cw, cb, stride=2, padding=2)),
@@ -439,9 +438,9 @@ def test_criterion_training_descent(toy_run):
     for _ in range(40):
         sample = W.lim_sample(utt_ids, emb.shape[2], rng, per_element=4)
         with ad.no_grad():
-            anchor = ad.gather_frames(emb, sample.anchor_elem, sample.anchor_frame)
-            positive = ad.gather_frames(emb, sample.anchor_elem, sample.positive_frame)
-            negative = ad.gather_frames(emb, sample.negative_elem, sample.negative_frame)
+            anchor = ad.index(emb, np.s_[sample.anchor_elem, :, sample.anchor_frame])
+            positive = ad.index(emb, np.s_[sample.anchor_elem, :, sample.positive_frame])
+            negative = ad.index(emb, np.s_[sample.negative_elem, :, sample.negative_frame])
             pos_logit = head.forward(ad.concat([anchor, positive], axis=1)).data
             neg_logit = head.forward(ad.concat([anchor, negative], axis=1)).data
         hits += int((pos_logit > 0).sum() + (neg_logit <= 0).sum())

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,15 @@ import pase.autodiff as ad
 from pase.autodiff import Tensor
 from pase.errors import NotScalar, ShapeMismatch
 
-from oracles import gradcheck, naive_conv1d
+from oracles import (
+    gradcheck,
+    naive_conv1d,
+    reference_gather_frames,
+    reference_narrow,
+    reference_subsample_time,
+    reference_take_rows,
+    same_bytes,
+)
 
 GRAD_TOL = 1e-4  # per-op bound; the acceptance gate is 1e-3
 
@@ -18,16 +28,16 @@ def scalarize(t):
     return ad.mean(ad.mul(t, t))
 
 
-def test_add_sub_mul_broadcast_grads(rng):
+def test_add_mul_broadcast_grads(rng):
     a = leaf(rng, 3, 4, 5)
     b = leaf(rng, 4, 1)
 
-    for op in (ad.add, ad.sub, ad.mul):
+    for op in (ad.add, ad.mul):
         err = gradcheck(lambda op=op: scalarize(op(a, b)), [a, b], rng=rng)
         assert err < GRAD_TOL
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.mse_loss])
+@pytest.mark.parametrize("op", [ad.add, ad.mul, ad.mse_loss])
 def test_constant_operand_gets_no_gradient(rng, op):
     # the vjp returns None for a parent that needs no gradient, and the
     # other parent's gradient is the one computed when both need one
@@ -51,8 +61,8 @@ def test_constant_operand_gets_no_gradient(rng, op):
         ("sum_axis", lambda x: ad.sum_(x, axis=(0, 2))),
         ("reshape", lambda x: ad.reshape(x, (2, 30))),
         ("transpose", lambda x: ad.transpose(x, (2, 0, 1))),
-        ("narrow", lambda x: ad.narrow(x, 2, 1, 3)),
-        ("subsample", lambda x: ad.subsample_time(x, 2)),
+        ("narrow", lambda x: ad.index(x, np.s_[:, :, 1:4])),
+        ("subsample", lambda x: ad.index(x, np.s_[:, :, ::2])),
         ("pad1d", lambda x: ad.pad1d(x, 2, 1)),
     ],
 )
@@ -86,13 +96,63 @@ def test_concat_gather_take_grads(rng):
     x = leaf(rng, 3, 4, 6)
     bi = np.array([0, 2, 2, 1])
     ti = np.array([5, 0, 0, 3])  # repeated pick exercises scatter-add
-    err = gradcheck(lambda: scalarize(ad.gather_frames(x, bi, ti)), [x], rng=rng)
+    err = gradcheck(lambda: scalarize(ad.index(x, np.s_[bi, :, ti])), [x], rng=rng)
     assert err < GRAD_TOL
 
     rows = leaf(rng, 5, 4)
     idx = np.array([4, 0, 0, 2])
-    err = gradcheck(lambda: scalarize(ad.take_rows(rows, idx)), [rows], rng=rng)
+    err = gradcheck(lambda: scalarize(ad.index(rows, idx)), [rows], rng=rng)
     assert err < GRAD_TOL
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_index_equals_the_ops_it_replaced(rng, dtype):
+    x = rng.standard_normal((3, 4, 10)).astype(dtype)
+    rows = rng.standard_normal((5, 4)).astype(dtype)
+    bi, ti = np.array([0, 2, 2, 1]), np.array([5, 0, 0, 3])  # a repeated frame
+    ri = np.array([4, 0, 0, 2])  # a repeated row
+    cases = [
+        (x, np.s_[:, :, 1:4], reference_narrow(x, 2, 1, 3)),
+        (x, np.s_[:, :, ::3], reference_subsample_time(x, 3)),
+        (x, np.s_[bi, :, ti], reference_gather_frames(x, bi, ti)),
+        (rows, ri, reference_take_rows(rows, ri)),
+    ]
+    for data, idx, (want_out, want_vjp) in cases:
+        out = ad.index(Tensor(data, requires_grad=True), idx)
+        assert same_bytes(out.data, want_out), idx
+        g = rng.standard_normal(out.shape).astype(dtype)
+        g.flat[::3] = -0.0  # a slice keeps the sign of a zero gradient
+        (dx,) = out._vjp(g)
+        assert same_bytes(dx, want_vjp(g)), idx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t,sel,t_out", [(40, 10, 4), (37, 10, 4), (20, 2, 8), (9, 1, 6)])
+def test_strided_index_equals_subsample_then_narrow(rng, dtype, t, sel, t_out):
+    # the skip-path selection: one index where there were two ops
+    x = rng.standard_normal((2, 3, t)).astype(dtype)
+    sub, sub_vjp = reference_subsample_time(x, sel)
+    want_out, narrow_vjp = reference_narrow(sub, 2, 0, t_out)
+    out = ad.index(Tensor(x, requires_grad=True), np.s_[:, :, : sel * t_out : sel])
+    assert same_bytes(out.data, want_out)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    g.flat[::2] = -0.0
+    (dx,) = out._vjp(g)
+    assert same_bytes(dx, sub_vjp(narrow_vjp(g)))
+
+
+def test_every_public_op_is_in_the_acceptance_gradient_suite():
+    import test_acceptance
+
+    source = inspect.getsource(test_acceptance._op_cases)
+    ops = [
+        name
+        for name, fn in inspect.getmembers(ad, inspect.isfunction)
+        if fn.__module__ == ad.__name__ and not name.startswith("_") and name != "no_grad"
+    ]
+    assert "index" in ops
+    missing = [name for name in ops if f"ad.{name}(" not in source]
+    assert not missing, f"ops without an acceptance gradient case: {missing}"
 
 
 def test_linear_grads(rng):

@@ -12,7 +12,7 @@ from pase.encoder import (
     SkipAggregate,
     sinc_bandpass_kernels,
 )
-from pase.errors import TooShort
+from pase.errors import ShapeMismatch, TooShort
 
 from oracles import gradcheck, sequential_qrnn
 
@@ -173,6 +173,22 @@ def test_skip_gradient_reaches_every_projection(rng):
     for w, bias in skip.projections:
         assert w.grad is not None and np.any(w.grad)
         assert bias.grad is not None
+
+
+def test_skip_path_with_too_few_frames_raises(rng):
+    skip = SkipAggregate((3,), 3, rng, "skip")
+    x = Tensor(rng.standard_normal((1, 3, 15)).astype(np.float32))
+    with pytest.raises(ShapeMismatch):
+        skip.forward([x], [4], 5)  # frames 0, 4, 8, 12: one short
+    with pytest.raises(ShapeMismatch):
+        skip.forward([x], [1], 16)
+
+
+def test_skip_path_at_final_rate_is_not_copied(rng):
+    skip = SkipAggregate((3,), 3, rng, "skip")
+    x = Tensor(rng.standard_normal((1, 3, 6)).astype(np.float32), requires_grad=True)
+    out = skip.forward([x], [1], 6)
+    assert out._parents[0] is x  # the projection reads the path itself
 
 
 # --- QRNN ------------------------------------------------------------------------

@@ -11,7 +11,14 @@ from pase.audio_io import Waveform, read_wav, write_wav
 from pase.autodiff import Tensor
 from pase.config import TrainConfig
 from pase.checkpoint import load_checkpoint, save_checkpoint
-from pase.errors import ConfigError, EmptyCorpus, EmptyPool, MalformedContainer, NonFiniteLoss
+from pase.errors import (
+    ConfigError,
+    EmptyCorpus,
+    EmptyPool,
+    MalformedContainer,
+    NonFiniteLoss,
+    SampleRateMismatch,
+)
 from pase.features import read_pfea
 
 
@@ -207,6 +214,22 @@ def test_pretrain_rejects_tiny_corpus(tmp_path, micro_corpus):
     cfg.clean_manifest = str(manifest)
     with pytest.raises(EmptyCorpus):
         T.pretrain(cfg)
+
+
+def test_pretrain_rejects_8khz_wav_before_any_output(micro_corpus, tmp_path):
+    lines = [
+        l for l in open(micro_corpus["train"], encoding="utf-8").read().splitlines()
+        if l and not l.startswith("#")
+    ]
+    wav_path = tmp_path / "narrowband.wav"
+    write_wav(Waveform(np.full(24000, 0.1, dtype=np.float32), 8000), str(wav_path))
+    manifest = tmp_path / "mixed.tsv"
+    manifest.write_text("\n".join(lines + [f"nb0\tspk0\t{wav_path}"]) + "\n", encoding="utf-8")
+    cfg = micro_train_config(micro_corpus, tmp_path / "out")
+    cfg.clean_manifest = str(manifest)
+    with pytest.raises(SampleRateMismatch, match=r"narrowband\.wav: 8000 Hz"):
+        T.pretrain(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_noise_pool_fails_before_any_output(micro_corpus, tmp_path):
