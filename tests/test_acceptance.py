@@ -85,82 +85,123 @@ def toy_run(tmp_path_factory):
 # --- criterion: gradient suite ----------------------------------------------------
 
 
-def _op_cases(rng):
-    def t(*shape):
+def _case_rng(name: str) -> np.random.Generator:
+    """A gradient case's own stream, seeded from its name alone."""
+    return np.random.default_rng(list(name.encode()))
+
+
+def _op_cases():
+    """name -> case(rng) -> (build, params).
+
+    Each case draws its inputs from the Generator it is handed, and the
+    suite then draws its finite-difference coordinates from that same
+    Generator, so adding, removing or reordering cases moves no other
+    case's inputs or coordinates.
+    """
+
+    def t(rng, *shape):
         return Tensor(rng.standard_normal(shape), requires_grad=True)
 
-    x = t(2, 3, 10)
-    y = t(3, 1)
-    alpha = Tensor(rng.uniform(0.1, 0.6, 3), requires_grad=True)
-    flat = t(6, 5)
-    w = t(4, 5)
-    b = t(4)
-    cx = t(2, 3, 16)
-    cw = t(4, 3, 5)
-    cb = t(4)
-    gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
-    beta = t(3)
-    z = t(2, 4, 9)
-    f = t(2, 4, 9)
-    rows = t(5, 4)
-    labels_b = (rng.random((6, 2)) < 0.5).astype(np.float64)
-    logits_b = t(6, 2)
-    logits_s = t(7, 4)
-    labels_s = rng.integers(0, 4, 7)
-    mse_target = Tensor(rng.standard_normal((6, 5)))
-    p_low = Tensor(rng.uniform(100, 2000, 3), requires_grad=True)
-    p_band = Tensor(rng.uniform(100, 800, 3), requires_grad=True)
+    def sq(v):
+        return ad.mean(ad.mul(v, v))
 
-    sq = lambda v: ad.mean(ad.mul(v, v))
-    rm = rng.standard_normal(3)
-    rv = rng.uniform(0.5, 2.0, 3)
-    return {
-        "add": (lambda: sq(ad.add(x, y)), [x, y]),
-        "mul": (lambda: sq(ad.mul(x, y)), [x, y]),
-        "sigmoid": (lambda: sq(ad.sigmoid(x)), [x]),
-        "tanh": (lambda: sq(ad.tanh(x)), [x]),
-        "prelu": (lambda: sq(ad.prelu(x, alpha)), [x, alpha]),
-        "mean": (lambda: sq(ad.mean(x, axis=2)), [x]),
-        "sum": (lambda: sq(ad.sum_(x, axis=(0, 2))), [x]),
-        "reshape": (lambda: sq(ad.reshape(x, (6, 10))), [x]),
-        "transpose": (lambda: sq(ad.transpose(x, (2, 0, 1))), [x]),
-        "concat": (lambda: sq(ad.concat([flat, flat], axis=1)), [flat]),
-        "index_narrow": (lambda: sq(ad.index(x, np.s_[:, :, 2:7])), [x]),
-        "index_subsample": (lambda: sq(ad.index(x, np.s_[:, :, ::3])), [x]),
-        "pad1d": (lambda: sq(ad.pad1d(x, 2, 1)), [x]),
-        "index_frames": (
-            lambda: sq(ad.index(x, np.s_[np.array([0, 1, 1]), :, np.array([9, 0, 0])])),
-            [x],
-        ),
-        "index_rows": (lambda: sq(ad.index(rows, np.array([0, 4, 4, 2]))), [rows]),
-        "linear": (lambda: sq(ad.linear(flat, w, b)), [flat, w, b]),
-        "conv1d": (
-            lambda: sq(ad.conv1d(cx, cw, cb, stride=2, padding=2)),
-            [cx, cw, cb],
-        ),
-        "batchnorm_train": (
-            lambda: sq(
-                ad.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(), training=True)
-            ),
-            [x, gamma, beta],
-        ),
-        "batchnorm_eval": (
-            lambda: sq(
-                ad.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(), training=False)
-            ),
-            [x, gamma, beta],
-        ),
-        "fo_pool": (lambda: sq(ad.fo_pool(ad.tanh(z), ad.sigmoid(f))), [z, f]),
-        "mse_loss": (lambda: ad.mse_loss(flat, mse_target), [flat]),
-        "bce_logits_loss": (lambda: ad.bce_logits_loss(logits_b, labels_b), [logits_b]),
-        "softmax_cross_entropy": (
-            lambda: ad.softmax_cross_entropy(logits_s, labels_s),
-            [logits_s],
-        ),
-        "sinc_bandpass_kernels": (
+    def on_x(op):  # an op of one (2, 3, 10) input
+        def case(rng):
+            x = t(rng, 2, 3, 10)
+            return lambda: sq(op(x)), [x]
+        return case
+
+    def on_x_y(op):  # a broadcasting op of (2, 3, 10) and (3, 1)
+        def case(rng):
+            x, y = t(rng, 2, 3, 10), t(rng, 3, 1)
+            return lambda: sq(op(x, y)), [x, y]
+        return case
+
+    def prelu(rng):
+        x = t(rng, 2, 3, 10)
+        alpha = Tensor(rng.uniform(0.1, 0.6, 3), requires_grad=True)
+        return lambda: sq(ad.prelu(x, alpha)), [x, alpha]
+
+    def concat(rng):
+        flat = t(rng, 6, 5)
+        return lambda: sq(ad.concat([flat, flat], axis=1)), [flat]
+
+    def index_rows(rng):
+        rows = t(rng, 5, 4)
+        return lambda: sq(ad.index(rows, np.array([0, 4, 4, 2]))), [rows]
+
+    def linear(rng):
+        flat, w, b = t(rng, 6, 5), t(rng, 4, 5), t(rng, 4)
+        return lambda: sq(ad.linear(flat, w, b)), [flat, w, b]
+
+    def conv1d(rng):
+        cx, cw, cb = t(rng, 2, 3, 16), t(rng, 4, 3, 5), t(rng, 4)
+        return lambda: sq(ad.conv1d(cx, cw, cb, stride=2, padding=2)), [cx, cw, cb]
+
+    def batchnorm(training):
+        def case(rng):
+            x = t(rng, 2, 3, 10)
+            gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+            beta = t(rng, 3)
+            rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+            return (
+                lambda: sq(ad.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(), training)),
+                [x, gamma, beta],
+            )
+        return case
+
+    def fo_pool(rng):
+        z, f = t(rng, 2, 4, 9), t(rng, 2, 4, 9)
+        return lambda: sq(ad.fo_pool(ad.tanh(z), ad.sigmoid(f))), [z, f]
+
+    def mse_loss(rng):
+        flat, target = t(rng, 6, 5), Tensor(rng.standard_normal((6, 5)))
+        return lambda: ad.mse_loss(flat, target), [flat]
+
+    def bce_logits_loss(rng):
+        logits = t(rng, 6, 2)
+        labels = (rng.random((6, 2)) < 0.5).astype(np.float64)
+        return lambda: ad.bce_logits_loss(logits, labels), [logits]
+
+    def softmax_cross_entropy(rng):
+        logits, labels = t(rng, 7, 4), rng.integers(0, 4, 7)
+        return lambda: ad.softmax_cross_entropy(logits, labels), [logits]
+
+    def sinc(rng):
+        p_low = Tensor(rng.uniform(100, 2000, 3), requires_grad=True)
+        p_band = Tensor(rng.uniform(100, 800, 3), requires_grad=True)
+        return (
             lambda: sq(sinc_bandpass_kernels(p_low, p_band, 65, SR, 30.0, 50.0)),
             [p_low, p_band],
+        )
+
+    return {
+        "add": on_x_y(lambda x, y: ad.add(x, y)),
+        "mul": on_x_y(lambda x, y: ad.mul(x, y)),
+        "sigmoid": on_x(lambda x: ad.sigmoid(x)),
+        "tanh": on_x(lambda x: ad.tanh(x)),
+        "prelu": prelu,
+        "mean": on_x(lambda x: ad.mean(x, axis=2)),
+        "sum": on_x(lambda x: ad.sum_(x, axis=(0, 2))),
+        "reshape": on_x(lambda x: ad.reshape(x, (6, 10))),
+        "transpose": on_x(lambda x: ad.transpose(x, (2, 0, 1))),
+        "concat": concat,
+        "index_narrow": on_x(lambda x: ad.index(x, np.s_[:, :, 2:7])),
+        "index_subsample": on_x(lambda x: ad.index(x, np.s_[:, :, ::3])),
+        "pad1d": on_x(lambda x: ad.pad1d(x, 2, 1)),
+        "index_frames": on_x(
+            lambda x: ad.index(x, np.s_[np.array([0, 1, 1]), :, np.array([9, 0, 0])])
         ),
+        "index_rows": index_rows,
+        "linear": linear,
+        "conv1d": conv1d,
+        "batchnorm_train": batchnorm(True),
+        "batchnorm_eval": batchnorm(False),
+        "fo_pool": fo_pool,
+        "mse_loss": mse_loss,
+        "bce_logits_loss": bce_logits_loss,
+        "softmax_cross_entropy": softmax_cross_entropy,
+        "sinc_bandpass_kernels": sinc,
     }
 
 
@@ -210,14 +251,16 @@ def _full_graph_builder(rng):
 
 def test_criterion_gradient_suite():
     started = time.time()
-    rng = np.random.default_rng(0)
     worst_op = 0.0
-    for name, (build, params) in _op_cases(rng).items():
+    for name, case in _op_cases().items():
+        rng = _case_rng(name)
+        build, params = case(rng)
         err = gradcheck(build, params, n_coords=8, h=1e-5, rng=rng)
         worst_op = max(worst_op, err)
         assert err < 1e-3, f"op {name}: max rel err {err:.2e}"
 
-    build, params = _full_graph_builder(np.random.default_rng(3))
+    rng = _case_rng("full_graph")
+    build, params = _full_graph_builder(rng)
     graph_err = gradcheck(build, params, n_coords=1, h=1e-5, rng=rng)
     elapsed = time.time() - started
     ok = worst_op < 1e-3 and graph_err < 1e-3 and elapsed < 300
