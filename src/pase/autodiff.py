@@ -13,8 +13,13 @@ What the tape keeps alive, and for how long:
   copy of the input, a normalized input or a sign mask is recomputed from
   the parent's `.data`, which is alive anyway, by the same expression, so
   the gradient is bitwise the one a saved copy gives. A closure that reads
-  a buffer its caller may change later (batchnorm's running mean) keeps a
+  a buffer its caller may change later (batch norm's running mean) keeps a
   copy taken at forward time.
+- Fused ops keep no intermediate that nothing reads. `batchnorm_prelu`
+  keeps its input, never the batch-norm output between the two halves: its
+  vjp recomputes that output, and the normalized input, from x. `linear_mse`
+  keeps the difference between prediction and target, which its vjp reads,
+  and never the prediction.
 - `backward()` frees the tape node by node: each node drops its vjp and
   its parents as it is visited, so an activation the caller does not hold
   dies when its node is visited, after every vjp that reads it has run.
@@ -450,26 +455,29 @@ def conv1d(
     return _from_op(out, parents, vjp)
 
 
-def batchnorm1d(
+def batchnorm_prelu(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
+    alpha: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Per-channel normalization over (batch, time) for (B, C, T) inputs.
+    """PReLU(batch norm(x)) for (B, C, T) inputs, one slope per channel.
 
-    Training mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode uses the buffers and touches nothing. The
-    vjp recomputes the normalized input from x, so eval mode keeps a copy
-    of `running_mean` as it was at forward time.
+    Batch norm normalizes per channel over (batch, time). Training mode
+    uses batch statistics and updates the running buffers in place; eval
+    mode uses the buffers and touches nothing. The tape keeps x and not the
+    batch-norm output: the vjp recomputes the normalized input and the
+    batch-norm output from x, so eval mode keeps a copy of `running_mean`
+    as it was at forward time.
     """
     B, C, T = x.data.shape
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise ShapeMismatch("batchnorm1d: gamma/beta must be (C,)")
+    if gamma.data.shape != (C,) or beta.data.shape != (C,) or alpha.data.shape != (C,):
+        raise ShapeMismatch("batchnorm_prelu: gamma/beta/alpha must be (C,)")
     n = B * T
     if training:
         mu = x.data.mean(axis=(0, 2))
@@ -485,14 +493,24 @@ def batchnorm1d(
         var = running_var
 
     invstd = 1.0 / np.sqrt(var + eps)
+    a = alpha.data.reshape(1, C, 1)
 
     def normalized():
         return (x.data - mu.reshape(1, C, 1)) * invstd.reshape(1, C, 1)
 
-    out = gamma.data.reshape(1, C, 1) * normalized() + beta.data.reshape(1, C, 1)
+    def batchnormed(xhat):
+        return gamma.data.reshape(1, C, 1) * xhat + beta.data.reshape(1, C, 1)
+
+    y = batchnormed(normalized())
+    out = np.where(y < 0, a * y, y)
 
     def vjp(g):
         xhat = normalized()
+        y = batchnormed(xhat)
+        neg = y < 0
+        da = np.where(neg, g * y, 0.0).sum(axis=(0, 2))
+        del y
+        g = np.where(neg, a * g, g)  # the gradient at the batch-norm output
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
         gx = g * gamma.data.reshape(1, C, 1)
@@ -502,9 +520,9 @@ def batchnorm1d(
             dx = (invstd.reshape(1, C, 1) / n) * (n * gx - s1 - xhat * s2)
         else:
             dx = gx * invstd.reshape(1, C, 1)
-        return dx, dgamma, dbeta
+        return dx, dgamma, dbeta, da
 
-    return _from_op(out, (x, gamma, beta), vjp)
+    return _from_op(out, (x, gamma, beta, alpha), vjp)
 
 
 def fo_pool(z: Tensor, f: Tensor) -> Tensor:
@@ -540,21 +558,31 @@ def fo_pool(z: Tensor, f: Tensor) -> Tensor:
 # --- losses --------------------------------------------------------------------
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    if pred.data.shape != target.data.shape:
-        raise ShapeMismatch(f"mse_loss: {pred.data.shape} vs {target.data.shape}")
-    diff = pred.data - target.data
-    out = np.asarray((diff * diff).mean(), dtype=pred.data.dtype)
-    need_pred, need_target = pred.requires_grad, target.requires_grad
+def linear_mse(h: Tensor, w: Tensor, b: Tensor, target: np.ndarray) -> Tensor:
+    """mean((h @ w.T + b - target) ** 2) for h: (N, I), w: (O, I), b: (O,)
+    and a constant (N, O) target.
+
+    The target is subtracted in place in the buffer that holds h @ w.T + b,
+    so the prediction is never kept: the tape keeps the difference, in the
+    prediction's dtype, which is what the vjp reads.
+    """
+    if h.data.shape[-1] != w.data.shape[1]:
+        raise ShapeMismatch(f"linear_mse: {h.data.shape} @ {w.data.shape}")
+    diff = h.data @ w.data.T
+    if target.shape != diff.shape:
+        raise ShapeMismatch(f"linear_mse: prediction {diff.shape} vs target {target.shape}")
+    diff += b.data
+    diff -= target
+    out = np.asarray((diff * diff).mean(), dtype=diff.dtype)
 
     def vjp(g):
         scale = 2.0 * g / diff.size
-        return (
-            scale * diff if need_pred else None,
-            -scale * diff if need_target else None,
-        )
+        gp = scale * diff
+        dh = gp @ w.data if h.requires_grad else None
+        dw = gp.T @ h.data if w.requires_grad else None
+        return dh, dw, gp.sum(axis=0)
 
-    return _from_op(out, (pred, target), vjp)
+    return _from_op(out, (h, w, b), vjp)
 
 
 def bce_logits_loss(logits: Tensor, labels: np.ndarray) -> Tensor:

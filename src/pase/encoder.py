@@ -166,6 +166,9 @@ class SincLayer:
 
 
 class BatchNorm1d:
+    """Batch norm's parameters and running buffers; `ConvBlock` applies it
+    fused with its PReLU."""
+
     def __init__(self, channels: int, prefix: str, momentum: float = 0.1, eps: float = 1e-5):
         self.gamma = Parameter(f"{prefix}/gamma", np.ones(channels, dtype=np.float32))
         self.beta = Parameter(f"{prefix}/beta", np.zeros(channels, dtype=np.float32))
@@ -174,13 +177,6 @@ class BatchNorm1d:
         self.momentum = momentum
         self.eps = eps
         self.prefix = prefix
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ad.batchnorm1d(
-            x, self.gamma, self.beta,
-            self.running_mean, self.running_var,
-            training, self.momentum, self.eps,
-        )
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -211,8 +207,11 @@ class ConvBlock:
     def forward(self, x: Tensor, training: bool) -> Tensor:
         pad = (self.kernel - 1) // 2
         h = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=pad)
-        h = self.bn.forward(h, training)
-        return ad.prelu(h, self.alpha)
+        bn = self.bn
+        return ad.batchnorm_prelu(
+            h, bn.gamma, bn.beta, self.alpha, bn.running_mean, bn.running_var,
+            training, bn.momentum, bn.eps,
+        )
 
     def parameters(self):
         return [self.w, self.b, *self.bn.parameters(), self.alpha]

@@ -111,6 +111,11 @@ class NonFiniteLoss(PaseError):
     """NaN/Inf appeared in the total loss; training aborted."""
 
 
+class NonFiniteGradient(PaseError):
+    """NaN/Inf appeared in a parameter gradient; training aborted before
+    the optimizer step."""
+
+
 class DegenerateSplit(PaseError):
     """Probe split cannot satisfy class/utterance minimums."""
 

@@ -33,6 +33,7 @@ from .errors import (
     DegenerateSplit,
     EmptyCorpus,
     MalformedContainer,
+    NonFiniteGradient,
     NonFiniteLoss,
     SampleRateMismatch,
 )
@@ -199,6 +200,13 @@ def _distinct_draw(entry: CorpusEntry, first: Chunk, rng) -> Chunk:
     return second  # utterance too short for distinct draws; overlapping fallback
 
 
+def _write_nonfinite_dump(checkpoint_dir: str, dump: dict) -> str:
+    """The diagnostic file of a step that went non-finite; returns its path."""
+    path = os.path.join(checkpoint_dir, f"nonfinite_step{dump['step']}.json")
+    write_file(path, [json.dumps(dump, indent=2).encode("utf-8")])
+    return path
+
+
 def pretrain(cfg: TrainConfig) -> str:
     """Run self-supervised pretraining; returns the final checkpoint path."""
     cfg.validate()
@@ -277,19 +285,26 @@ def pretrain(cfg: TrainConfig) -> str:
                 )
 
                 total = W.total_loss(list(losses.values()))
+                dump = {
+                    "step": step,
+                    "losses": {k: float(v.data) for k, v in losses.items()},
+                    "utterances": utt_ids,
+                    "distortions": dist_a,
+                }
                 if not np.isfinite(total.data):
-                    dump = {
-                        "step": step,
-                        "losses": {k: float(v.data) for k, v in losses.items()},
-                        "utterances": utt_ids,
-                        "distortions": dist_a,
-                    }
-                    dump_path = os.path.join(cfg.checkpoint_dir, f"nonfinite_step{step}.json")
-                    write_file(dump_path, [json.dumps(dump, indent=2).encode("utf-8")])
+                    dump_path = _write_nonfinite_dump(cfg.checkpoint_dir, dump)
                     raise NonFiniteLoss(f"step {step}: non-finite total loss, see {dump_path}")
 
                 adam.zero_grad()
                 total.backward()
+                bad = [p.name for p in adam.params
+                       if p.grad is not None and not np.isfinite(p.grad).all()]
+                if bad:
+                    dump_path = _write_nonfinite_dump(cfg.checkpoint_dir, {**dump, "parameters": bad})
+                    raise NonFiniteGradient(
+                        f"step {step}: non-finite gradient of {len(bad)} parameters"
+                        f" (first {bad[0]}), see {dump_path}"
+                    )
                 adam.step(schedule.lr(step - 1))
 
                 if step == 1 or step == total_steps or step % cfg.log_interval == 0:

@@ -90,8 +90,13 @@ class TargetStandardizer:
             self.mean[kind] = mean.astype(np.float32)
             self.std[kind] = np.maximum(np.sqrt(var), STD_FLOOR).astype(np.float32)
 
-    def transform(self, kind: str, values: np.ndarray) -> np.ndarray:
-        return ((values - self.mean[kind]) / self.std[kind]).astype(np.float32)
+    def transform(self, kind: str, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Standardized `values` as float32, written into `out` when given.
+        The arithmetic runs in `values`' precision and is rounded to
+        float32 once, on the write."""
+        if out is None:
+            out = np.empty(values.shape, dtype=np.float32)
+        return np.divide(values - self.mean[kind], self.std[kind], out=out, casting="same_kind")
 
     def state(self) -> dict[str, np.ndarray]:
         out = {}
@@ -123,9 +128,11 @@ class WorkerHead:
         self.w2 = Parameter(f"{prefix}/fc2/w", _init_linear(rng, out_dim, HIDDEN_UNITS))
         self.b2 = Parameter(f"{prefix}/fc2/b", np.zeros(out_dim, dtype=np.float32))
 
+    def hidden(self, x: Tensor) -> Tensor:
+        return ad.prelu(ad.linear(x, self.w1, self.b1), self.alpha)
+
     def forward(self, x: Tensor) -> Tensor:
-        h = ad.prelu(ad.linear(x, self.w1, self.b1), self.alpha)
-        return ad.linear(h, self.w2, self.b2)
+        return ad.linear(self.hidden(x), self.w2, self.b2)
 
     def parameters(self):
         return [self.w1, self.b1, self.alpha, self.w2, self.b2]
@@ -151,20 +158,28 @@ def regression_worker_loss(
     standardizer: TargetStandardizer,
     sample_rate: int = 16000,
 ) -> Tensor:
-    """Frame-wise MSE between head(embedding) and standardized clean targets."""
-    targets = []
-    for samples in clean_batch:
-        t = regression_targets(samples, spec.target_kind, sample_rate)
-        targets.append(standardizer.transform(spec.target_kind, t))
-    target = np.stack(targets)  # (B, T_t, dim)
+    """Frame-wise MSE between head(embedding) and standardized clean targets.
+
+    The targets are standardized straight into one (B, frames, dim) float32
+    array, cut to the frames the embedding also has, and the head's output
+    layer and the MSE are one op, so no prediction is kept for backward.
+    """
+    kind = spec.target_kind
     b, c, t_emb = emb.shape
-    t_tgt = target.shape[1]
-    if abs(t_emb - t_tgt) > 1:
-        raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
-    t_common = min(t_emb, t_tgt)
-    pred = head.forward(_flatten_frames(emb, t_common))
-    flat_target = target[:, :t_common].reshape(b * t_common, -1)
-    return ad.mse_loss(pred, Tensor(flat_target))
+    target = None
+    for i, samples in enumerate(clean_batch):
+        t = regression_targets(samples, kind, sample_rate)
+        if target is None:
+            t_tgt = t.shape[0]
+            if abs(t_emb - t_tgt) > 1:
+                raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
+            t_common = min(t_emb, t_tgt)
+            target = np.empty((len(clean_batch), t_common, t.shape[1]), dtype=np.float32)
+        elif t.shape[0] != t_tgt:
+            raise FrameGridMismatch(f"chunk {i} gives {t.shape[0]} target frames, chunk 0 {t_tgt}")
+        standardizer.transform(kind, t[:t_common], out=target[i])
+    h = head.hidden(_flatten_frames(emb, t_common))
+    return ad.linear_mse(h, head.w2, head.b2, target.reshape(b * t_common, -1))
 
 
 # --- contrastive sampling -------------------------------------------------------

@@ -213,8 +213,9 @@ def reference_conv1d(x, w, b, g, stride=1, padding=0):
 
 def reference_prelu(x, alpha, g):
     """PReLU that keeps its sign mask for the vjp: the bitwise oracle for
-    `autodiff.prelu`, which recomputes the mask. x has channels on axis 1,
-    g is the upstream gradient. Returns (out, dx, dalpha)."""
+    `autodiff.prelu`, which recomputes the mask, and for the PReLU half of
+    `autodiff.batchnorm_prelu`. x has channels on axis 1, g is the upstream
+    gradient. Returns (out, dx, dalpha)."""
     a = alpha.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
     neg = x < 0
     out = np.where(neg, a * x, x)
@@ -226,10 +227,11 @@ def reference_prelu(x, alpha, g):
 
 def reference_batchnorm1d(x, gamma, beta, running_mean, running_var, training, g,
                           momentum=0.1, eps=1e-5):
-    """Batch norm that keeps the normalized input for the vjp: the bitwise
-    oracle for `autodiff.batchnorm1d`, which recomputes it. Updates the
-    running buffers in training mode as the library does. x is (B, C, T),
-    g the upstream gradient. Returns (out, dx, dgamma, dbeta)."""
+    """Batch norm that keeps the normalized input for the vjp: the deleted
+    `autodiff.batchnorm1d` with its input saved, and with `reference_prelu`
+    the bitwise oracle for `autodiff.batchnorm_prelu`. Updates the running
+    buffers in training mode as the library does. x is (B, C, T), g the
+    upstream gradient. Returns (out, dx, dgamma, dbeta)."""
     B, C, T = x.shape
     n = B * T
     if training:
@@ -257,6 +259,20 @@ def reference_batchnorm1d(x, gamma, beta, running_mean, running_var, training, g
     else:
         dx = gx * invstd.reshape(1, C, 1)
     return out, dx, dgamma, dbeta
+
+
+def reference_mse_loss(pred, target):
+    """mean((pred - target) ** 2), the deleted `autodiff.mse_loss`; after
+    `autodiff.linear` it is the bitwise oracle for `autodiff.linear_mse`.
+    Returns (out, vjp), where vjp(g) is the gradient at pred."""
+    diff = pred - target
+    out = np.asarray((diff * diff).mean(), dtype=pred.dtype)
+
+    def vjp(g):
+        scale = 2.0 * g / diff.size
+        return scale * diff
+
+    return out, vjp
 
 
 def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:

@@ -138,15 +138,17 @@ def _op_cases():
         cx, cw, cb = t(rng, 2, 3, 16), t(rng, 4, 3, 5), t(rng, 4)
         return lambda: sq(ad.conv1d(cx, cw, cb, stride=2, padding=2)), [cx, cw, cb]
 
-    def batchnorm(training):
+    def batchnorm_prelu(training):
         def case(rng):
             x = t(rng, 2, 3, 10)
             gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
             beta = t(rng, 3)
+            alpha = Tensor(rng.uniform(0.1, 0.6, 3), requires_grad=True)
             rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
             return (
-                lambda: sq(ad.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(), training)),
-                [x, gamma, beta],
+                lambda: sq(ad.batchnorm_prelu(x, gamma, beta, alpha, rm.copy(), rv.copy(),
+                                              training)),
+                [x, gamma, beta, alpha],
             )
         return case
 
@@ -154,9 +156,10 @@ def _op_cases():
         z, f = t(rng, 2, 4, 9), t(rng, 2, 4, 9)
         return lambda: sq(ad.fo_pool(ad.tanh(z), ad.sigmoid(f))), [z, f]
 
-    def mse_loss(rng):
-        flat, target = t(rng, 6, 5), Tensor(rng.standard_normal((6, 5)))
-        return lambda: ad.mse_loss(flat, target), [flat]
+    def linear_mse(rng):
+        flat, w, b = t(rng, 6, 5), t(rng, 4, 5), t(rng, 4)
+        target = rng.standard_normal((6, 4))
+        return lambda: ad.linear_mse(flat, w, b, target), [flat, w, b]
 
     def bce_logits_loss(rng):
         logits = t(rng, 6, 2)
@@ -195,10 +198,10 @@ def _op_cases():
         "index_rows": index_rows,
         "linear": linear,
         "conv1d": conv1d,
-        "batchnorm_train": batchnorm(True),
-        "batchnorm_eval": batchnorm(False),
+        "batchnorm_prelu_train": batchnorm_prelu(True),
+        "batchnorm_prelu_eval": batchnorm_prelu(False),
         "fo_pool": fo_pool,
-        "mse_loss": mse_loss,
+        "linear_mse": linear_mse,
         "bce_logits_loss": bce_logits_loss,
         "softmax_cross_entropy": softmax_cross_entropy,
         "sinc_bandpass_kernels": sinc,

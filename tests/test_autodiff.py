@@ -37,12 +37,12 @@ def test_add_mul_broadcast_grads(rng):
         assert err < GRAD_TOL
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.mul, ad.mse_loss])
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
 def test_constant_operand_gets_no_gradient(rng, op):
     # the vjp returns None for a parent that needs no gradient, and the
     # other parent's gradient is the one computed when both need one
     x, c = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    g = np.asarray(0.7) if op is ad.mse_loss else rng.standard_normal((3, 4))
+    g = rng.standard_normal((3, 4))
     both = op(Tensor(x, requires_grad=True), Tensor(c, requires_grad=True))._vjp(g)
     left = op(Tensor(x, requires_grad=True), Tensor(c))._vjp(g)
     assert left[1] is None and np.array_equal(left[0], both[0])
@@ -209,9 +209,10 @@ def test_batchnorm_training_statistics(rng):
     x = Tensor(rng.standard_normal((8, 4, 50)))
     gamma = Tensor(np.ones(4), requires_grad=True)
     beta = Tensor(np.zeros(4), requires_grad=True)
+    identity = Tensor(np.ones(4))  # PReLU with slope 1
     rm = np.zeros(4)
     rv = np.ones(4)
-    out = ad.batchnorm1d(x, gamma, beta, rm, rv, training=True)
+    out = ad.batchnorm_prelu(x, gamma, beta, identity, rm, rv, training=True)
     mean = out.data.mean(axis=(0, 2))
     var = out.data.var(axis=(0, 2))
     assert np.max(np.abs(mean)) < 1e-6
@@ -224,15 +225,16 @@ def test_batchnorm_grads(rng, training):
     x = leaf(rng, 3, 4, 7)
     gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
     beta = Tensor(rng.standard_normal(4), requires_grad=True)
+    alpha = Tensor(rng.uniform(0.1, 0.5, 4), requires_grad=True)
     rm = rng.standard_normal(4)
     rv = rng.uniform(0.5, 2.0, 4)
 
     def build():
         return scalarize(
-            ad.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(), training=training)
+            ad.batchnorm_prelu(x, gamma, beta, alpha, rm.copy(), rv.copy(), training=training)
         )
 
-    err = gradcheck(build, [x, gamma, beta], rng=rng)
+    err = gradcheck(build, [x, gamma, beta, alpha], rng=rng)
     assert err < GRAD_TOL
 
 
@@ -248,23 +250,30 @@ def test_fo_pool_grads(rng):
 
 
 def test_mse_loss_contracts(rng):
+    # linear_mse with an identity layer is the MSE of its input
+    eye, zero = Tensor(np.eye(5)), Tensor(np.zeros(5))
     p = Tensor(rng.standard_normal((4, 5)))
-    assert ad.mse_loss(p, Tensor(p.data.copy())).item() == 0.0
-    shifted = Tensor(p.data + 1.0)
-    assert ad.mse_loss(shifted, p).item() == pytest.approx(1.0)
+    assert ad.linear_mse(p, eye, zero, p.data.copy()).item() == 0.0
+    assert ad.linear_mse(p, eye, Tensor(np.ones(5)), p.data).item() == pytest.approx(1.0)
 
     a = rng.standard_normal((6, 7))
-    b = rng.standard_normal((6, 7))
-    direct = float(np.mean((a - b) ** 2))
-    assert abs(ad.mse_loss(Tensor(a), Tensor(b)).item() - direct) < 1e-12
+    w = rng.standard_normal((5, 7))
+    b = rng.standard_normal(5)
+    t = rng.standard_normal((6, 5))
+    direct = float(np.mean((a @ w.T + b - t) ** 2))
+    assert abs(ad.linear_mse(Tensor(a), Tensor(w), Tensor(b), t).item() - direct) < 1e-12
     with pytest.raises(ShapeMismatch):
-        ad.mse_loss(Tensor(a), Tensor(np.zeros((6, 6))))
+        ad.linear_mse(Tensor(a), Tensor(w), Tensor(b), np.zeros((6, 6)))
+    with pytest.raises(ShapeMismatch):
+        ad.linear_mse(Tensor(a), Tensor(w.T.copy()), Tensor(b), t)
 
 
 def test_mse_grads(rng):
-    p = leaf(rng, 5, 4)
-    t = leaf(rng, 5, 4)
-    err = gradcheck(lambda: ad.mse_loss(p, t), [p, t], rng=rng)
+    h = leaf(rng, 5, 4)
+    w = leaf(rng, 3, 4)
+    b = leaf(rng, 3)
+    t = rng.standard_normal((5, 3))
+    err = gradcheck(lambda: ad.linear_mse(h, w, b, t), [h, w, b], rng=rng)
     assert err < GRAD_TOL
 
 

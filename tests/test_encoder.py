@@ -130,9 +130,9 @@ def test_conv_block_output_length_formula(rng):
 
 def test_conv_block_normalizes_in_training(rng):
     block = ConvBlock(3, 4, 5, 1, rng, "b")
+    block.alpha.data[:] = 1.0  # PReLU with slope 1 is the identity
     x = Tensor(rng.standard_normal((4, 3, 50)).astype(np.float32))
-    conv_out = ad.conv1d(x, block.w, block.b, stride=1, padding=2)
-    normed = block.bn.forward(conv_out, training=True)
+    normed = block.forward(x, training=True)
     means = normed.data.mean(axis=(0, 2))
     assert np.max(np.abs(means)) < 1e-5  # pre-activation is centered
 
@@ -276,7 +276,7 @@ def test_every_parameter_gets_gradient(rng):
     enc = Encoder(small_config(), rng)
     x = Tensor(rng.uniform(-0.5, 0.5, (2, 1, 4000)).astype(np.float32))
     out = enc.forward(x, training=True)
-    loss = ad.mse_loss(out, Tensor(rng.standard_normal(out.data.shape).astype(np.float32)))
+    loss = ad.sum_(ad.mul(out, Tensor(rng.standard_normal(out.data.shape).astype(np.float32))))
     loss.backward()
     dead = [p.name for p in enc.parameters() if p.grad is None or not np.any(p.grad)]
     assert dead == []

@@ -10,9 +10,10 @@ import pytest
 import pase.autodiff as ad
 from pase.autodiff import Tensor
 from pase.encoder import Encoder, EncoderConfig
+import pase.workers as W
 from pase.workers import WorkerHead
 
-from oracles import reference_batchnorm1d, reference_prelu, same_bytes
+from oracles import reference_batchnorm1d, reference_mse_loss, reference_prelu, same_bytes
 
 
 def backward_with(out: Tensor, g: np.ndarray) -> None:
@@ -38,35 +39,62 @@ def test_prelu_equals_saved_mask_oracle(rng, dtype, shape):
 
 
 def batchnorm_case(rng, dtype):
+    """Inputs of `batchnorm_prelu` whose batch-norm output is exactly 0,
+    both +0.0 and -0.0, at PReLU's `< 0` boundary, in both modes: channels
+    0 and 1 hold small integers and their negations, so the batch mean is
+    exactly 0, as is the running mean, and the zeros of x carry both signs."""
     x = (rng.standard_normal((4, 6, 23)) * 2.0 + 0.5).astype(dtype)
+    x[:, :2] = rng.integers(-2, 3, (4, 2, 23))
+    x[:, :2, 12:] = -x[:, :2, 1:12]  # every nonzero value with its negation
+    x[:, :2, 0] = 0.0
     gamma = rng.uniform(0.5, 1.5, 6).astype(dtype)
     beta = rng.standard_normal(6).astype(dtype)
+    gamma[1] = -gamma[1]
+    beta[:2] = (0.0, -0.0)
+    alpha = rng.uniform(0.1, 0.5, 6).astype(dtype)
     running_mean = rng.standard_normal(6).astype(dtype)
+    running_mean[:2] = 0.0
     running_var = rng.uniform(0.5, 2.0, 6).astype(dtype)
     g = rng.standard_normal(x.shape).astype(dtype)
-    return x, gamma, beta, running_mean, running_var, g
+    g.flat[::5] = -0.0
+    return x, gamma, beta, alpha, running_mean, running_var, g
 
 
-def run_batchnorm(x, gamma, beta, running_mean, running_var, training, g, between=None):
-    """The library op's output, running buffers and (dx, dgamma, dbeta);
-    `between(running_mean, running_var)` runs after forward, before backward."""
-    xt = Tensor(x, requires_grad=True)
-    gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
-    out = ad.batchnorm1d(xt, gt, bt, running_mean, running_var, training)
+def run_batchnorm_prelu(x, gamma, beta, alpha, running_mean, running_var, training, g,
+                        between=None):
+    """The library op's output and its vjp of g, (dx, dgamma, dbeta, dalpha),
+    taken straight from the op: accumulating into a leaf's zeroed grad would
+    turn a -0.0 into +0.0. `between(running_mean, running_var)` runs after
+    forward, before the vjp."""
+    leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta, alpha)]
+    out = ad.batchnorm_prelu(*leaves, running_mean, running_var, training)
     if between is not None:
         between(running_mean, running_var)
-    backward_with(out, g)
-    return out.data, (xt.grad, gt.grad, bt.grad)
+    return out.data, out._vjp(g)
+
+
+def reference_pair(x, gamma, beta, alpha, running_mean, running_var, training, g):
+    """Batch norm then PReLU, each keeping what its vjp reads: the output
+    and (dx, dgamma, dbeta, dalpha). Updates the buffers once."""
+    y, *_ = reference_batchnorm1d(x, gamma, beta, running_mean.copy(), running_var.copy(),
+                                  training, np.zeros_like(x))
+    out, dy, dalpha = reference_prelu(y, alpha, g)
+    _, dx, dgamma, dbeta = reference_batchnorm1d(x, gamma, beta, running_mean, running_var,
+                                                 training, dy)
+    return out, (dx, dgamma, dbeta, dalpha), y
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("training", [True, False])
 def test_batchnorm_equals_saved_xhat_oracle(rng, dtype, training):
-    x, gamma, beta, rm, rv, g = batchnorm_case(rng, dtype)
+    # batchnorm_prelu against the two ops it fused, each saving its input
+    x, gamma, beta, alpha, rm, rv, g = batchnorm_case(rng, dtype)
     ref_rm, ref_rv = rm.copy(), rv.copy()
-    want_out, *want_grads = reference_batchnorm1d(x, gamma, beta, ref_rm, ref_rv, training, g)
+    want_out, want_grads, y = reference_pair(x, gamma, beta, alpha, ref_rm, ref_rv, training, g)
+    zeros = y[y == 0]
+    assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
 
-    out, grads = run_batchnorm(x, gamma, beta, rm, rv, training, g)
+    out, grads = run_batchnorm_prelu(x, gamma, beta, alpha, rm, rv, training, g)
     assert same_bytes(out, want_out)
     for got, want in zip(grads, want_grads):
         assert same_bytes(got, want)
@@ -77,28 +105,51 @@ def test_batchnorm_equals_saved_xhat_oracle(rng, dtype, training):
 def test_batchnorm_eval_gradient_ignores_later_buffer_changes(rng, dtype):
     # the vjp reads the running mean as it was at forward time, as a saved
     # normalized input did; a caller may update the buffer before backward
-    x, gamma, beta, rm, rv, g = batchnorm_case(rng, dtype)
-    _, want = run_batchnorm(x, gamma, beta, rm.copy(), rv.copy(), False, g)
+    x, gamma, beta, alpha, rm, rv, g = batchnorm_case(rng, dtype)
+    _, want = run_batchnorm_prelu(x, gamma, beta, alpha, rm.copy(), rv.copy(), False, g)
 
     def mutate(running_mean, running_var):
         running_mean += 3.0
         running_var *= 2.0
 
-    _, got = run_batchnorm(x, gamma, beta, rm.copy(), rv.copy(), False, g, between=mutate)
+    _, got = run_batchnorm_prelu(x, gamma, beta, alpha, rm.copy(), rv.copy(), False, g,
+                                 between=mutate)
     for a, b in zip(got, want):
         assert same_bytes(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_mse_equals_linear_then_mse(rng, dtype):
+    h = rng.standard_normal((12, 7)).astype(dtype)
+    w = rng.standard_normal((5, 7)).astype(dtype)
+    b = rng.standard_normal(5).astype(dtype)
+    target = rng.standard_normal((12, 5)).astype(dtype)
+    g = np.asarray(1.0 / 12.0, dtype=dtype)  # the total loss's weight of one worker
+
+    old = [Tensor(v, requires_grad=True) for v in (h, w, b)]
+    pred = ad.linear(*old)
+    want_out, mse_vjp = reference_mse_loss(pred.data, target)
+    backward_with(pred, mse_vjp(g))
+
+    new = [Tensor(v, requires_grad=True) for v in (h, w, b)]
+    loss = ad.linear_mse(*new, target)
+    assert same_bytes(loss.data, want_out)
+    backward_with(loss, g)
+    for got, want in zip(new, old):
+        assert same_bytes(got.grad, want.grad)
+
+
 def test_constant_mse_target_is_not_kept_by_the_loss(rng):
-    pred = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    h = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    w, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(4))
     target = rng.standard_normal((6, 4))
     alive = weakref.ref(target)
-    loss = ad.mse_loss(pred, Tensor(target))
+    loss = ad.linear_mse(h, w, b, target)
     del target
     assert alive() is None  # freed with the loss node still alive
-    assert loss._parents == (pred, None)
+    assert loss._parents == (h, None, None)
     loss.backward()
-    assert pred.grad is not None
+    assert h.grad is not None
 
 
 def tiny_encoder(rng):
@@ -111,7 +162,7 @@ def tiny_encoder(rng):
 
 
 def head_on_encoder(rng, monkeypatch):
-    """A regression head's loss over a tiny encoder, the head's output
+    """A regression head's loss over a tiny encoder, the head's hidden-layer
     array, and the output node of the forward pass's first conv (the sinc
     layer), whose vjp is the last one backward runs."""
     first_conv = []
@@ -127,10 +178,10 @@ def head_on_encoder(rng, monkeypatch):
     encoder = tiny_encoder(rng)
     head = WorkerHead("head", 8, 5, rng)
     emb = encoder.forward(Tensor(rng.standard_normal((2, 1, 1600)).astype(np.float32)), True)
-    pred = head.forward(ad.reshape(ad.transpose(emb, (0, 2, 1)), (-1, 8)))
-    loss = ad.mse_loss(pred, Tensor(np.zeros(pred.shape, dtype=np.float32)))
+    hidden = head.hidden(ad.reshape(ad.transpose(emb, (0, 2, 1)), (-1, 8)))
+    loss = ad.linear_mse(hidden, head.w2, head.b2, np.zeros((hidden.shape[0], 5), np.float32))
     params = encoder.parameters() + head.parameters()
-    return loss, params, pred.data, first_conv[0]
+    return loss, params, hidden.data, first_conv[0]
 
 
 def test_backward_frees_heads_before_the_first_conv_runs(rng, monkeypatch):
@@ -155,7 +206,96 @@ def test_backward_frees_heads_before_the_first_conv_runs(rng, monkeypatch):
 def test_every_node_is_a_leaf_after_backward(rng, monkeypatch):
     loss, params, _, _ = head_on_encoder(rng, monkeypatch)
     nodes = ad._topo_order(loss)
-    assert sum(not node.is_leaf for node in nodes) > 50
+    assert sum(not node.is_leaf for node in nodes) > 40
     loss.backward()
     assert all(node.is_leaf and node._parents == () for node in nodes)
     assert all(p.grad is not None and np.any(p.grad) for p in params)
+
+
+def kept_arrays(root: Tensor) -> list[np.ndarray]:
+    """Every ndarray the tape under `root` keeps alive, once each: every
+    node's data and whatever its vjp closure holds (nested closures, the
+    data of Tensors, and the base of a view included)."""
+    found, seen = [], set()
+
+    def visit(obj):
+        if obj is None or id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            visit(obj.base)
+        elif isinstance(obj, Tensor):
+            visit(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    visit(cell.cell_contents)
+                except ValueError:  # a cell whose variable was deleted
+                    pass
+
+    for node in ad._topo_order(root):
+        visit(node.data)
+        visit(node._vjp)
+    return found
+
+
+def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
+    rng = np.random.default_rng(7)
+    sr = 16000
+    encoder = tiny_encoder(rng)
+    workers = W.WorkerSet(W.default_roster(), 8, rng, sr)
+    clean = [rng.uniform(-0.5, 0.5, 3200).astype(np.float32) for _ in range(2)]
+    views = (np.stack(clean)[:, None, :], rng.uniform(-0.5, 0.5, (2, 1, 3200)).astype(np.float32))
+    std = W.TargetStandardizer(sample_rate=sr)
+    std.fit(clean)
+
+    # one step's total loss, built as `pretrain` builds it
+    emb_a, emb_b = (encoder.forward(Tensor(x), training=True) for x in views)
+    regression = [s for s in workers.roster if s.kind == "regression"]
+    losses = [W.regression_worker_loss(emb_a, clean, s, workers.heads[s.name], std, sr)
+              for s in regression]
+    utts = ["a", "b"]
+    lim = W.lim_sample(utts, emb_a.shape[2], rng, per_element=3)
+    losses.append(W.lim_worker_loss(emb_a, lim, workers.heads["lim"]))
+    gim = W.gim_sample(utts, [0, 1], [2, 3], rng)
+    losses.append(W.gim_worker_loss(emb_a, emb_b, gim, workers.heads["gim"]))
+    total = W.total_loss(losses)
+
+    # the same forward recomputed with the old op pairs: batch norm output
+    # and block output of every block, hidden layer and prediction of
+    # every regression head
+    bn_outputs, block_outputs, hiddens, predictions = [], [], [], []
+    with ad.no_grad():
+        for x in views:
+            h = encoder.sinc.forward(Tensor(x))
+            for block in encoder.blocks:
+                conv = ad.conv1d(h, block.w, block.b, block.stride, (block.kernel - 1) // 2).data
+                c = conv.shape[1]
+                y = reference_batchnorm1d(conv, block.bn.gamma.data, block.bn.beta.data,
+                                          np.zeros(c, np.float32), np.ones(c, np.float32),
+                                          True, np.zeros_like(conv))[0]
+                out = reference_prelu(y, block.alpha.data, np.zeros_like(y))[0]
+                bn_outputs.append(y)
+                block_outputs.append(out)
+                h = Tensor(out)
+        for spec in regression:
+            head = workers.heads[spec.name]
+            frames = min(emb_a.shape[2], W.regression_targets(clean[0], spec.target_kind, sr).shape[0])
+            flat = W._flatten_frames(Tensor(emb_a.data), frames)
+            hidden = ad.prelu(ad.linear(flat, head.w1, head.b1), head.alpha)
+            hiddens.append(hidden.data)
+            predictions.append(ad.linear(hidden, head.w2, head.b2).data)
+
+    kept = kept_arrays(total)
+
+    def is_kept(arr):
+        return any(k.shape == arr.shape and same_bytes(k, arr) for k in kept)
+
+    # the recomputation matches the real forward: what backward reads is there
+    assert all(is_kept(a) for a in block_outputs + hiddens)
+    assert not [i for i, y in enumerate(bn_outputs) if is_kept(y)]
+    assert not [s.name for s, p in zip(regression, predictions) if is_kept(p)]

@@ -16,6 +16,7 @@ from pase.errors import (
     EmptyCorpus,
     EmptyPool,
     MalformedContainer,
+    NonFiniteGradient,
     NonFiniteLoss,
     SampleRateMismatch,
 )
@@ -256,6 +257,33 @@ def test_pretrain_aborts_on_nonfinite_loss(micro_corpus, tmp_path, monkeypatch):
     assert len(dumps) == 1
     dump = json.load(open(tmp_path / "out" / dumps[0]))
     assert "losses" in dump and "utterances" in dump
+
+
+def test_pretrain_aborts_on_nonfinite_gradient_before_the_update(micro_corpus, tmp_path,
+                                                                  monkeypatch):
+    # the loss stays finite; only the gradient into the gim head is poisoned
+    gim_worker_loss = T.W.gim_worker_loss
+
+    def poisoned(*args):
+        loss = gim_worker_loss(*args)
+        vjp = loss._vjp
+        loss._vjp = lambda g: tuple(None if d is None else np.full_like(d, np.inf)
+                                    for d in vjp(g))
+        return loss
+
+    monkeypatch.setattr(T.W, "gim_worker_loss", poisoned)
+    updated = []
+    monkeypatch.setattr(T.Adam, "step", lambda self, lr: updated.append(lr))
+    cfg = micro_train_config(micro_corpus, tmp_path / "out", epochs=1)
+    with pytest.raises(NonFiniteGradient, match="step 1"), np.errstate(invalid="ignore"):
+        T.pretrain(cfg)
+    assert updated == []
+    dump = json.load(open(tmp_path / "out" / "nonfinite_step1.json"))
+    assert all(np.isfinite(v) for v in dump["losses"].values())
+    assert "workers/gim/fc2/w" in dump["parameters"]
+    assert "encoder/block0/conv/w" in dump["parameters"]
+    assert not [p for p in dump["parameters"] if p.startswith("workers/lps/")]
+    assert not (tmp_path / "out" / "epoch_001.pckp").exists()
 
 
 def test_contaminate_corpus_validates_before_any_output(micro_corpus, tmp_path):

@@ -8,6 +8,8 @@ from pase.autodiff import Tensor
 from pase.distortion import DistortionConfig, contaminate
 from pase.errors import EmptyList, FrameGridMismatch, SingleUtteranceBatch
 
+from oracles import same_bytes
+
 SR = 16000
 
 
@@ -107,14 +109,44 @@ def test_regression_worker_loss_zero_when_head_matches(rng):
     std.fit(samples)
     target = std.transform("mfcc", W.regression_targets(samples[0], "mfcc", SR))
 
-    class PerfectHead:
-        def forward(self, flat):
+    class PerfectHead:  # its hidden layer is the target, its output layer the identity
+        w2 = Tensor(np.eye(target.shape[1], dtype=np.float32))
+        b2 = Tensor(np.zeros(target.shape[1], dtype=np.float32))
+
+        def hidden(self, flat):
             return Tensor(target.reshape(-1, target.shape[1]).astype(np.float32))
 
     emb = Tensor(rng.standard_normal((1, 256, 200)).astype(np.float32))
     spec = W.WorkerSpec("mfcc", "regression", "mfcc")
     loss = W.regression_worker_loss(emb, samples, spec, PerfectHead(), std, SR)
     assert loss.item() == 0.0
+
+
+@pytest.mark.parametrize("fewer_frames", [0, 1])
+def test_target_batch_equals_stacked_transforms(rng, monkeypatch, fewer_frames):
+    # the batch regression_worker_loss standardizes in place equals np.stack
+    # of the old transform's outputs, cut to the embedding's frames
+    samples = [rng.uniform(-0.3, 0.3, 32000).astype(np.float32) for _ in range(3)]
+    std = W.TargetStandardizer(sample_rate=SR)
+    std.fit(samples)
+    seen = []
+    linear_mse = ad.linear_mse
+
+    def recording(h, w, b, target):
+        seen.append(target)
+        return linear_mse(h, w, b, target)
+
+    monkeypatch.setattr(ad, "linear_mse", recording)
+    for kind in W.REGRESSION_KINDS:
+        raw = [W.regression_targets(c, kind, SR) for c in samples]
+        old = np.stack([((r - std.mean[kind]) / std.std[kind]).astype(np.float32) for r in raw])
+        assert same_bytes(std.transform(kind, raw[0]), old[0]), kind
+        frames = old.shape[1] - fewer_frames
+        emb = Tensor(rng.standard_normal((3, 8, frames)).astype(np.float32))
+        head = W.WorkerHead(kind, 8, W.target_dim(kind, SR), rng)
+        spec = W.WorkerSpec(kind, "regression", kind)
+        W.regression_worker_loss(emb, samples, spec, head, std, SR)
+        assert same_bytes(seen[-1], old[:, :frames].reshape(3 * frames, -1)), kind
 
 
 def test_regression_worker_frame_grid_mismatch(rng):
