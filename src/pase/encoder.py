@@ -15,6 +15,8 @@ from .errors import ShapeMismatch, TooShort
 from .features import hz_to_mel, mel_to_hz
 
 EMBEDDING_DIM = 256
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 @dataclass
@@ -165,29 +167,6 @@ class SincLayer:
         return [self.p_low, self.p_band]
 
 
-class BatchNorm1d:
-    """Batch norm's parameters and running buffers; `ConvBlock` applies it
-    fused with its PReLU."""
-
-    def __init__(self, channels: int, prefix: str, momentum: float = 0.1, eps: float = 1e-5):
-        self.gamma = Parameter(f"{prefix}/gamma", np.ones(channels, dtype=np.float32))
-        self.beta = Parameter(f"{prefix}/beta", np.zeros(channels, dtype=np.float32))
-        self.running_mean = np.zeros(channels, dtype=np.float32)
-        self.running_var = np.ones(channels, dtype=np.float32)
-        self.momentum = momentum
-        self.eps = eps
-        self.prefix = prefix
-
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def buffers(self):
-        return {
-            f"{self.prefix}/running_mean": self.running_mean,
-            f"{self.prefix}/running_var": self.running_var,
-        }
-
-
 def _he_conv(rng, out_ch, in_ch, kernel):
     scale = np.sqrt(2.0 / (in_ch * kernel))
     return (rng.standard_normal((out_ch, in_ch, kernel)) * scale).astype(np.float32)
@@ -199,25 +178,31 @@ class ConvBlock:
     def __init__(self, in_ch, out_ch, kernel, stride, rng, prefix):
         self.kernel = kernel
         self.stride = stride
+        self.prefix = prefix
         self.w = Parameter(f"{prefix}/conv/w", _he_conv(rng, out_ch, in_ch, kernel))
         self.b = Parameter(f"{prefix}/conv/b", np.zeros(out_ch, dtype=np.float32))
-        self.bn = BatchNorm1d(out_ch, f"{prefix}/bn")
+        self.gamma = Parameter(f"{prefix}/bn/gamma", np.ones(out_ch, dtype=np.float32))
+        self.beta = Parameter(f"{prefix}/bn/beta", np.zeros(out_ch, dtype=np.float32))
+        self.running_mean = np.zeros(out_ch, dtype=np.float32)
+        self.running_var = np.ones(out_ch, dtype=np.float32)
         self.alpha = Parameter(f"{prefix}/prelu/alpha", np.full(out_ch, 0.25, dtype=np.float32))
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         pad = (self.kernel - 1) // 2
         h = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=pad)
-        bn = self.bn
         return ad.batchnorm_prelu(
-            h, bn.gamma, bn.beta, self.alpha, bn.running_mean, bn.running_var,
-            training, bn.momentum, bn.eps,
+            h, self.gamma, self.beta, self.alpha, self.running_mean, self.running_var,
+            training, BN_MOMENTUM, BN_EPS,
         )
 
     def parameters(self):
-        return [self.w, self.b, *self.bn.parameters(), self.alpha]
+        return [self.w, self.b, self.gamma, self.beta, self.alpha]
 
     def buffers(self):
-        return self.bn.buffers()
+        return {
+            f"{self.prefix}/bn/running_mean": self.running_mean,
+            f"{self.prefix}/bn/running_var": self.running_var,
+        }
 
 
 class SkipAggregate:

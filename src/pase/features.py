@@ -8,7 +8,8 @@ float64; callers cast to float32 at the training boundary.
 All spectral kinds share one framing, `_power`: 25 ms Hamming frames of the
 pre-emphasised signal on the 10 ms grid, one periodogram each. A long kind's
 frame t is the mean of the 18 periodograms of frames t .. t+17 (a 200 ms
-span). One map per base kind, `_SPECTRAL_MAPS`, serves both window lengths.
+span). One map per base kind, `SPECTRAL_MAPS`, serves both window lengths.
+Every feature is a plain (frames, dims) float64 array.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,22 +54,6 @@ _BASE_DIMS = {
 FEATURE_DIMS = {kind: _BASE_DIMS[kind.removesuffix("_long")] for kind in FEATURE_KINDS}
 
 
-@dataclass
-class FeatureMatrix:
-    values: np.ndarray  # (frames, dims)
-    hop: float
-    window: float
-    kind: str
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-
 def pre_emphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     out = np.empty_like(x)
@@ -88,17 +72,6 @@ def _frame_raw(samples: np.ndarray, win: int, hop: int, n_frames: int | None = N
         x = np.concatenate([x, np.zeros(need - len(x))])
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     return x[idx]
-
-
-def frame_signal(wave: Waveform, window_s: float, hop_s: float) -> np.ndarray:
-    """Hamming-windowed frames of shape (n_frames, window); see module grid rules."""
-    win = int(round(window_s * wave.sample_rate))
-    hop = int(round(hop_s * wave.sample_rate))
-    if win < hop:
-        raise ValueError(f"window {window_s} shorter than hop {hop_s}")
-    if len(wave) < win:
-        raise TooShort(f"signal of {len(wave)} samples shorter than window {win}")
-    return _frame_raw(wave.samples, win, hop) * np.hamming(win)
 
 
 def power_spectrum(frames: np.ndarray, nfft: int = FFT_SIZE) -> np.ndarray:
@@ -187,33 +160,12 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 # power matrix (frames, FFT_SIZE // 2 + 1) -> feature matrix, per base kind
-_SPECTRAL_MAPS = {
+SPECTRAL_MAPS = {
     "lps": _log,
     "mfcc": lambda p: _log(p @ mel_filterbank()[0].T) @ dct_matrix(N_FILTERS)[:N_MFCC].T,
     "fbank": lambda p: _log(p @ mel_filterbank()[0].T),
     "gammatone": lambda p: _log(p @ gammatone_filterbank()[0].T),
 }
-
-
-def _frame_feature(frames: np.ndarray, kind: str) -> FeatureMatrix:
-    values = _SPECTRAL_MAPS[kind](power_spectrum(frames))
-    return FeatureMatrix(values, HOP_SECONDS, SHORT_WINDOW_SECONDS, kind)
-
-
-def log_power_spectrum(frames: np.ndarray) -> FeatureMatrix:
-    return _frame_feature(frames, "lps")
-
-
-def mel_fbank(frames: np.ndarray) -> FeatureMatrix:
-    return _frame_feature(frames, "fbank")
-
-
-def mfcc(frames: np.ndarray) -> FeatureMatrix:
-    return _frame_feature(frames, "mfcc")
-
-
-def gammatone(frames: np.ndarray) -> FeatureMatrix:
-    return _frame_feature(frames, "gammatone")
 
 
 # --- prosody -----------------------------------------------------------------
@@ -224,7 +176,7 @@ VOICING_THRESHOLD = 0.5
 SILENCE_POWER = 1e-8
 
 
-def prosody(wave: Waveform) -> FeatureMatrix:
+def prosody(wave: Waveform) -> np.ndarray:
     """4 dims per frame: interpolated log-F0, voicing, log-energy, ZCR."""
     sr = wave.sample_rate
     win = int(round(SHORT_WINDOW_SECONDS * sr))
@@ -291,8 +243,7 @@ def prosody(wave: Waveform) -> FeatureMatrix:
     else:
         log_f0 = np.full(n, np.log(100.0))
 
-    vals = np.stack([log_f0, voicing, log_energy, zcr], axis=1)
-    return FeatureMatrix(vals, HOP_SECONDS, SHORT_WINDOW_SECONDS, "prosody")
+    return np.stack([log_f0, voicing, log_energy, zcr], axis=1)
 
 
 # --- derivatives / context ---------------------------------------------------
@@ -312,27 +263,25 @@ def _delta(values: np.ndarray) -> np.ndarray:
     return out / _DELTA_DENOM
 
 
-def add_deltas(feat: FeatureMatrix) -> FeatureMatrix:
+def add_deltas(values: np.ndarray) -> np.ndarray:
     """Append first and second regression deltas along the dim axis."""
-    if feat.n_frames < 2 * DELTA_REACH + 1:
-        raise TooFewFrames(f"deltas need >= {2 * DELTA_REACH + 1} frames, got {feat.n_frames}")
-    d1 = _delta(feat.values)
-    d2 = _delta(d1)
-    vals = np.concatenate([feat.values, d1, d2], axis=1)
-    return FeatureMatrix(vals, feat.hop, feat.window, feat.kind)
+    if values.shape[0] < 2 * DELTA_REACH + 1:
+        raise TooFewFrames(f"deltas need >= {2 * DELTA_REACH + 1} frames, got {values.shape[0]}")
+    d1 = _delta(values)
+    return np.concatenate([values, d1, _delta(d1)], axis=1)
 
 
-def stack_context(feat: FeatureMatrix, w: int = 7) -> FeatureMatrix:
+def stack_context(values: np.ndarray, w: int = 7) -> np.ndarray:
     """Concatenate frames t-w//2 .. t+w//2 per position, edges replicated."""
     if w % 2 == 0:
         raise EvenWindow(f"context window must be odd, got {w}")
     half = w // 2
-    n = feat.n_frames
+    n = values.shape[0]
     cols = []
     for off in range(-half, half + 1):
         idx = np.clip(np.arange(n) + off, 0, n - 1)
-        cols.append(feat.values[idx])
-    return FeatureMatrix(np.concatenate(cols, axis=1), feat.hop, feat.window, feat.kind)
+        cols.append(values[idx])
+    return np.concatenate(cols, axis=1)
 
 
 # --- spectral kinds on the shared grid -------------------------------------------
@@ -363,18 +312,17 @@ def _power(wave: Waveform, segments: int) -> np.ndarray:
     return (csum[segments:] - csum[:-segments])[:n] / segments
 
 
-def extract_feature(wave: Waveform, kind: str) -> FeatureMatrix:
+def extract_feature(wave: Waveform, kind: str) -> np.ndarray:
     """Uniform entry point over every feature kind on the canonical grid."""
     if kind == "prosody":
         return prosody(wave)
     if kind in SHORT_KINDS:
-        power, window = _power(wave, 1), SHORT_WINDOW_SECONDS
+        power = _power(wave, 1)
     elif kind in LONG_KINDS:
-        power, window = _power(wave, _LONG_SEGMENTS), LONG_WINDOW_SECONDS
+        power = _power(wave, _LONG_SEGMENTS)
     else:
         raise ValueError(f"unknown feature kind {kind!r}")
-    values = _SPECTRAL_MAPS[kind.removesuffix("_long")](power)
-    return FeatureMatrix(values, HOP_SECONDS, window, kind)
+    return SPECTRAL_MAPS[kind.removesuffix("_long")](power)
 
 
 # --- PFEA binary tensor files ---------------------------------------------------

@@ -370,15 +370,17 @@ def extract(checkpoint_path: str, manifest_path: str, out_dir: str) -> list[str]
 # --- linear probe ---------------------------------------------------------------------
 
 
+PROBE_EPOCHS = 100
+PROBE_LR = 1e-2
+PROBE_TRAIN_FRACTION = 0.75
+
+
 @dataclass
 class ProbeConfig:
     checkpoint: str
     manifest: str
     out_json: str = ""
     seed: int = 0
-    epochs: int = 100
-    lr: float = 1e-2
-    train_fraction: float = 0.75
     min_per_class: int = 4
 
 
@@ -399,14 +401,15 @@ def probe(cfg: ProbeConfig) -> dict:
             )
 
     feats = {
-        e.utterance_id: _mean_embedding(model.encoder, e, sample_rate) for e in corpus
+        e.utterance_id: encode_utterance(model.encoder, e.wave.samples, sample_rate).mean(axis=0)
+        for e in corpus
     }
     rng = np.random.default_rng(cfg.seed)
     train_x, train_y, test_x, test_y = [], [], [], []
     for ci, c in enumerate(classes):
         members = per_class[c]
         order = rng.permutation(len(members))
-        n_train = int(round(cfg.train_fraction * len(members)))
+        n_train = int(round(PROBE_TRAIN_FRACTION * len(members)))
         n_train = min(max(n_train, 1), len(members) - 1)
         for rank, idx in enumerate(order):
             target_x = train_x if rank < n_train else test_x
@@ -430,11 +433,11 @@ def probe(cfg: ProbeConfig) -> dict:
     b = ad.Parameter("probe/b", np.zeros(k, dtype=np.float32))
     adam = Adam([w, b])
     xt = Tensor(x_train)
-    for _ in range(cfg.epochs):
+    for _ in range(PROBE_EPOCHS):
         loss = ad.softmax_cross_entropy(ad.linear(xt, w, b), y_train)
         adam.zero_grad()
         loss.backward()
-        adam.step(cfg.lr)
+        adam.step(PROBE_LR)
 
     def accuracy(x, y):
         with ad.no_grad():
@@ -458,11 +461,6 @@ def probe(cfg: ProbeConfig) -> dict:
     if cfg.out_json:
         write_file(cfg.out_json, [json.dumps(report, indent=2, sort_keys=True).encode("utf-8")])
     return report
-
-
-def _mean_embedding(encoder: Encoder, entry: CorpusEntry, sample_rate: int) -> np.ndarray:
-    emb = encode_utterance(encoder, entry.wave.samples, sample_rate)
-    return emb.mean(axis=0)
 
 
 # --- batch contamination ----------------------------------------------------------------

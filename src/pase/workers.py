@@ -59,7 +59,7 @@ def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int =
         return np.asarray(samples[: n * hop], dtype=np.float64).reshape(n, hop)
     wave = Waveform(np.asarray(samples, dtype=np.float32), sample_rate)
     feat = F.extract_feature(wave, target_kind)
-    return F.stack_context(F.add_deltas(feat), CONTEXT_FRAMES).values
+    return F.stack_context(F.add_deltas(feat), CONTEXT_FRAMES)
 
 
 class TargetStandardizer:
@@ -90,12 +90,10 @@ class TargetStandardizer:
             self.mean[kind] = mean.astype(np.float32)
             self.std[kind] = np.maximum(np.sqrt(var), STD_FLOOR).astype(np.float32)
 
-    def transform(self, kind: str, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Standardized `values` as float32, written into `out` when given.
-        The arithmetic runs in `values`' precision and is rounded to
-        float32 once, on the write."""
-        if out is None:
-            out = np.empty(values.shape, dtype=np.float32)
+    def transform(self, kind: str, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Standardized `values` written into the float32 array `out`. The
+        arithmetic runs in `values`' precision and is rounded to float32
+        once, on the write."""
         return np.divide(values - self.mean[kind], self.std[kind], out=out, casting="same_kind")
 
     def state(self) -> dict[str, np.ndarray]:

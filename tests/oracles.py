@@ -426,33 +426,29 @@ def reference_rir_pool(rng, count=50, max_order=20, sample_rate=16000):
 
 
 # --- feature targets: the per-kind paths that `features._power` and
-# `features._SPECTRAL_MAPS` replaced, kept as the bitwise oracle for
+# `features.SPECTRAL_MAPS` replaced, kept as the bitwise oracle for
 # `features.extract_feature` ------------------------------------------------------
 
 
 def _reference_log_power_spectrum(frames):
-    lps = np.log(np.maximum(F.power_spectrum(frames), F.LOG_FLOOR))
-    return F.FeatureMatrix(lps, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "lps")
+    return np.log(np.maximum(F.power_spectrum(frames), F.LOG_FLOOR))
 
 
 def _reference_mel_fbank(frames, n_filters=F.N_FILTERS):
     weights, _ = F.mel_filterbank(n_filters)
     energies = F.power_spectrum(frames) @ weights.T
-    vals = np.log(np.maximum(energies, F.LOG_FLOOR))
-    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "fbank")
+    return np.log(np.maximum(energies, F.LOG_FLOOR))
 
 
 def _reference_mfcc(frames, n_coeffs=F.N_MFCC):
-    logmel = _reference_mel_fbank(frames).values
-    vals = logmel @ F.dct_matrix(logmel.shape[1])[:n_coeffs].T
-    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "mfcc")
+    logmel = _reference_mel_fbank(frames)
+    return logmel @ F.dct_matrix(logmel.shape[1])[:n_coeffs].T
 
 
 def _reference_gammatone(frames, n_filters=F.N_FILTERS):
     weights, _, _ = F.gammatone_filterbank(n_filters)
     energies = F.power_spectrum(frames) @ weights.T
-    vals = np.log(np.maximum(energies, F.LOG_FLOOR))
-    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.SHORT_WINDOW_SECONDS, "gammatone")
+    return np.log(np.maximum(energies, F.LOG_FLOOR))
 
 
 _REFERENCE_LONG_SEGMENTS = int((F.LONG_WINDOW_SECONDS - F.SHORT_WINDOW_SECONDS) / F.HOP_SECONDS) + 1
@@ -493,7 +489,7 @@ def _reference_long_window_features(wave, kind):
     else:  # gammatone
         weights, _, _ = F.gammatone_filterbank()
         vals = np.log(np.maximum(p @ weights.T, F.LOG_FLOOR))
-    return F.FeatureMatrix(vals, F.HOP_SECONDS, F.LONG_WINDOW_SECONDS, base + "_long")
+    return vals
 
 
 def reference_extract_feature(wave, kind):
@@ -505,11 +501,11 @@ def reference_extract_feature(wave, kind):
         return F.prosody(wave)
     if kind not in F.SHORT_KINDS:
         raise ValueError(f"unknown feature kind {kind!r}")
-    frames = F.frame_signal(
-        Waveform(F.pre_emphasize(wave.samples), wave.sample_rate),
-        F.SHORT_WINDOW_SECONDS,
-        F.HOP_SECONDS,
-    )
+    win = int(round(F.SHORT_WINDOW_SECONDS * wave.sample_rate))
+    hop = int(round(F.HOP_SECONDS * wave.sample_rate))
+    if len(wave) < win:
+        raise TooShort(f"signal of {len(wave)} samples shorter than window {win}")
+    frames = F._frame_raw(F.pre_emphasize(wave.samples), win, hop) * np.hamming(win)
     if kind == "lps":
         return _reference_log_power_spectrum(frames)
     if kind == "fbank":

@@ -4,6 +4,7 @@ import pytest
 import pase.autodiff as ad
 from pase.autodiff import Tensor
 from pase.encoder import (
+    BN_EPS,
     ConvBlock,
     Encoder,
     EncoderConfig,
@@ -116,7 +117,7 @@ def test_conv_block_reduces_to_plain_conv_in_eval(rng):
     x = Tensor(rng.standard_normal((2, 3, 20)).astype(np.float32))
     got = block.forward(x, training=False)
     plain = ad.conv1d(x, block.w, block.b, stride=2, padding=2)
-    bn_scale = 1.0 / np.sqrt(1.0 + block.bn.eps)
+    bn_scale = 1.0 / np.sqrt(1.0 + BN_EPS)
     assert np.allclose(got.data, plain.data * bn_scale, atol=1e-6)
 
 

@@ -232,8 +232,9 @@ def test_config_double_percent_is_a_percent(tmp_path):
 
 
 def test_shipped_default_config_is_generated():
+    # byte for byte, line endings included; regenerate with `pase init-config`
     shipped = Path(__file__).parent.parent / "configs" / "default.conf"
-    assert shipped.read_text(encoding="utf-8") == default_config_text()
+    assert shipped.read_bytes() == default_config_text().encode("utf-8")
 
 
 def test_config_overrides_parse(tmp_path):

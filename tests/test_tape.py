@@ -275,7 +275,7 @@ def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
             for block in encoder.blocks:
                 conv = ad.conv1d(h, block.w, block.b, block.stride, (block.kernel - 1) // 2).data
                 c = conv.shape[1]
-                y = reference_batchnorm1d(conv, block.bn.gamma.data, block.bn.beta.data,
+                y = reference_batchnorm1d(conv, block.gamma.data, block.beta.data,
                                           np.zeros(c, np.float32), np.ones(c, np.float32),
                                           True, np.zeros_like(conv))[0]
                 out = reference_prelu(y, block.alpha.data, np.zeros_like(y))[0]
