@@ -16,7 +16,7 @@ from pathlib import Path
 
 from pase.config import load_train_config
 from pase.toygen import make_toy_corpus
-from pase.trainer import ProbeConfig, extract, pretrain, probe
+from pase.trainer import extract, pretrain, probe
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.conf"
 
@@ -45,19 +45,10 @@ def main() -> None:
     print(f"embeddings in {feature_dir}")
 
     trained = probe(
-        ProbeConfig(
-            checkpoint=final,
-            manifest=corpus["probe"],
-            out_json=os.path.join(args.out, "probe.json"),
-            seed=args.seed,
-        )
+        final, corpus["probe"], out_json=os.path.join(args.out, "probe.json"), seed=args.seed
     )
     baseline = probe(
-        ProbeConfig(
-            checkpoint=os.path.join(args.out, "ckpt", "init.pckp"),
-            manifest=corpus["probe"],
-            seed=args.seed,
-        )
+        os.path.join(args.out, "ckpt", "init.pckp"), corpus["probe"], seed=args.seed
     )
     print(
         json.dumps(

@@ -37,6 +37,10 @@ import numpy as np
 
 from .errors import NotScalar, ShapeMismatch
 
+# batch norm's running-statistics update rate and variance floor
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 _grad_enabled = True
 
 
@@ -463,8 +467,6 @@ def batchnorm_prelu(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """PReLU(batch norm(x)) for (B, C, T) inputs, one slope per channel.
 
@@ -484,15 +486,15 @@ def batchnorm_prelu(
         var = x.data.var(axis=(0, 2))
         # running update uses the unbiased variance, as is conventional
         unbiased = var * n / max(1, n - 1)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         mu = running_mean.copy()
         var = running_var
 
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     a = alpha.data.reshape(1, C, 1)
 
     def normalized():

@@ -11,7 +11,7 @@ import logging
 import sys
 
 from .config import default_config_text, load_train_config
-from .trainer import ProbeConfig, contaminate_corpus, extract, pretrain, probe
+from .trainer import contaminate_corpus, extract, pretrain, probe
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,14 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         print(log_path)
         return 0
     if args.command == "probe":
-        report = probe(
-            ProbeConfig(
-                checkpoint=args.ckpt,
-                manifest=args.manifest,
-                out_json=args.out,
-                seed=args.seed,
-            )
-        )
+        report = probe(args.ckpt, args.manifest, out_json=args.out, seed=args.seed)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     return 1

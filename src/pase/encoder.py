@@ -11,12 +11,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import ShapeMismatch, TooShort
+from .errors import ConfigError, ShapeMismatch, TooShort
 from .features import hz_to_mel, mel_to_hz
 
 EMBEDDING_DIM = 256
-BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
 
 
 @dataclass
@@ -43,10 +41,13 @@ class EncoderConfig:
 
     def validate(self) -> None:
         if not (len(self.block_channels) == len(self.block_kernels) == len(self.block_strides)):
-            raise ValueError("block spec lists must have equal length")
+            raise ConfigError("block_channels, block_kernels and block_strides differ in length")
         want = self.sample_rate // 100  # one frame per 10 ms
         if self.hop_samples != want:
-            raise ValueError(f"stride product {self.hop_samples} != hop {want}")
+            raise ConfigError(
+                f"sinc_stride times the block_strides is {self.hop_samples}, "
+                f"not the {want}-sample hop at sample_rate {self.sample_rate}"
+            )
 
     def to_meta(self) -> dict:
         meta = {}
@@ -57,12 +58,22 @@ class EncoderConfig:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "EncoderConfig":
-        def parse(text: str, default):
-            if isinstance(default, tuple):
-                return tuple(type(default[0])(v) for v in text.split(","))
-            return type(default)(text)
+        """The validated config `to_meta` wrote; a missing or unparsable key
+        raises `ConfigError` naming it."""
 
-        return cls(**{f.name: parse(meta[f.name], f.default) for f in fields(cls)})
+        def parse(name: str, default):
+            if name not in meta:
+                raise ConfigError(f"missing encoder key {name}")
+            try:
+                if isinstance(default, tuple):
+                    return tuple(type(default[0])(v) for v in meta[name].split(","))
+                return type(default)(meta[name])
+            except ValueError as exc:
+                raise ConfigError(f"encoder key {name}: {exc}") from None
+
+        cfg = cls(**{f.name: parse(f.name, f.default) for f in fields(cls)})
+        cfg.validate()
+        return cfg
 
 
 def _sinc_cutoffs(p_low, p_band, sample_rate, min_low_hz, min_band_hz):
@@ -191,8 +202,7 @@ class ConvBlock:
         pad = (self.kernel - 1) // 2
         h = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=pad)
         return ad.batchnorm_prelu(
-            h, self.gamma, self.beta, self.alpha, self.running_mean, self.running_var,
-            training, BN_MOMENTUM, BN_EPS,
+            h, self.gamma, self.beta, self.alpha, self.running_mean, self.running_var, training
         )
 
     def parameters(self):

@@ -75,10 +75,6 @@ class TooFewFrames(PaseError):
     """Delta computation needs at least five frames."""
 
 
-class EvenWindow(PaseError):
-    """Context stacking requires an odd window."""
-
-
 class FrameGridMismatch(PaseError):
     """Embedding and target frame counts differ by more than one frame."""
 

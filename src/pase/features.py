@@ -23,14 +23,15 @@ import numpy as np
 
 from .audio_io import Waveform
 from .errors import (
-    EvenWindow,
     IncompatibleVersion,
     MalformedContainer,
+    SampleRateMismatch,
     TooFewFrames,
     TooShort,
 )
 from .files import read_file, write_file
 
+SAMPLE_RATE = 16000  # the rate the filterbanks and the FFT size are built for
 HOP_SECONDS = 0.010
 SHORT_WINDOW_SECONDS = 0.025
 LONG_WINDOW_SECONDS = 0.200
@@ -54,11 +55,11 @@ _BASE_DIMS = {
 FEATURE_DIMS = {kind: _BASE_DIMS[kind.removesuffix("_long")] for kind in FEATURE_KINDS}
 
 
-def pre_emphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:
+def pre_emphasize(samples: np.ndarray) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     out = np.empty_like(x)
     out[0] = x[0]
-    out[1:] = x[1:] - coeff * x[:-1]
+    out[1:] = x[1:] - PREEMPHASIS * x[:-1]
     return out
 
 
@@ -74,9 +75,9 @@ def _frame_raw(samples: np.ndarray, win: int, hop: int, n_frames: int | None = N
     return x[idx]
 
 
-def power_spectrum(frames: np.ndarray, nfft: int = FFT_SIZE) -> np.ndarray:
+def power_spectrum(frames: np.ndarray) -> np.ndarray:
     """|FFT|^2 over the positive bins, one row per frame."""
-    spec = np.fft.rfft(frames, n=nfft, axis=1)
+    spec = np.fft.rfft(frames, n=FFT_SIZE, axis=1)
     return (spec.real**2 + spec.imag**2).astype(np.float64)
 
 
@@ -88,23 +89,17 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=8)
-def mel_filterbank(
-    n_filters: int = N_FILTERS,
-    nfft: int = FFT_SIZE,
-    sample_rate: int = 16000,
-    fmin: float = 0.0,
-    fmax: float = 8000.0,
-):
-    """Triangular mel filters evaluated on the rfft bin grid.
+@lru_cache(maxsize=1)
+def mel_filterbank():
+    """Triangular mel filters from 0 Hz to Nyquist on the rfft bin grid.
 
-    Returns (weights, centers_hz); weights is (n_filters, nfft // 2 + 1) with
-    unit peak per triangle.
+    Returns (weights, centers_hz); weights is (N_FILTERS, FFT_SIZE // 2 + 1)
+    with unit peak per triangle.
     """
-    pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_filters + 2))
-    freqs = np.arange(nfft // 2 + 1) * sample_rate / nfft
-    weights = np.zeros((n_filters, len(freqs)))
-    for j in range(n_filters):
+    pts = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), N_FILTERS + 2))
+    freqs = np.arange(FFT_SIZE // 2 + 1) * SAMPLE_RATE / FFT_SIZE
+    weights = np.zeros((N_FILTERS, len(freqs)))
+    for j in range(N_FILTERS):
         lo, center, hi = pts[j], pts[j + 1], pts[j + 2]
         up = (freqs - lo) / (center - lo)
         down = (hi - freqs) / (hi - center)
@@ -112,9 +107,10 @@ def mel_filterbank(
     return weights, pts[1:-1].copy()
 
 
-@lru_cache(maxsize=4)
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II basis, rows are coefficients."""
+@lru_cache(maxsize=1)
+def dct_matrix() -> np.ndarray:
+    """Orthonormal DCT-II basis over the N_FILTERS mel bands, rows are coefficients."""
+    n = N_FILTERS
     k = np.arange(n)[:, None]
     m = np.arange(n)[None, :]
     d = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * m + 1) * k / (2 * n))
@@ -130,27 +126,24 @@ def erb_rate_to_hz(r):
     return (10.0 ** (np.asarray(r, dtype=np.float64) / 21.4) - 1.0) / 0.00437
 
 
-@lru_cache(maxsize=8)
-def gammatone_filterbank(
-    n_filters: int = N_FILTERS,
-    nfft: int = FFT_SIZE,
-    sample_rate: int = 16000,
-    fmin: float = GAMMATONE_FMIN,
-    fmax: float = 8000.0,
-):
-    """4th-order gammatone magnitude responses sampled on the rfft grid.
+@lru_cache(maxsize=1)
+def gammatone_filterbank():
+    """4th-order gammatone magnitude responses from GAMMATONE_FMIN to
+    Nyquist, sampled on the rfft grid.
 
-    Filters are realized as FIR taps (impulse response truncated at nfft
+    Filters are realized as FIR taps (impulse response truncated at FFT_SIZE
     samples), then peak-normalized in the frequency domain. Returns
     (weights, centers_hz, taps) so tests can probe the realized responses.
     """
-    centers = erb_rate_to_hz(np.linspace(erb_rate(fmin), erb_rate(fmax), n_filters))
-    t = np.arange(nfft) / sample_rate
-    taps = np.zeros((n_filters, nfft))
+    centers = erb_rate_to_hz(
+        np.linspace(erb_rate(GAMMATONE_FMIN), erb_rate(SAMPLE_RATE / 2), N_FILTERS)
+    )
+    t = np.arange(FFT_SIZE) / SAMPLE_RATE
+    taps = np.zeros((N_FILTERS, FFT_SIZE))
     for j, fc in enumerate(centers):
         bw = 1.019 * 24.7 * (0.00437 * fc + 1.0)
         taps[j] = t**3 * np.exp(-2.0 * np.pi * bw * t) * np.cos(2.0 * np.pi * fc * t)
-    spec = np.abs(np.fft.rfft(taps, n=nfft, axis=1)) ** 2
+    spec = np.abs(np.fft.rfft(taps, n=FFT_SIZE, axis=1)) ** 2
     spec /= spec.max(axis=1, keepdims=True)
     return spec, centers, taps
 
@@ -162,7 +155,7 @@ def _log(x: np.ndarray) -> np.ndarray:
 # power matrix (frames, FFT_SIZE // 2 + 1) -> feature matrix, per base kind
 SPECTRAL_MAPS = {
     "lps": _log,
-    "mfcc": lambda p: _log(p @ mel_filterbank()[0].T) @ dct_matrix(N_FILTERS)[:N_MFCC].T,
+    "mfcc": lambda p: _log(p @ mel_filterbank()[0].T) @ dct_matrix()[:N_MFCC].T,
     "fbank": lambda p: _log(p @ mel_filterbank()[0].T),
     "gammatone": lambda p: _log(p @ gammatone_filterbank()[0].T),
 }
@@ -249,6 +242,7 @@ def prosody(wave: Waveform) -> np.ndarray:
 # --- derivatives / context ---------------------------------------------------
 
 DELTA_REACH = 2
+CONTEXT_FRAMES = 7
 _DELTA_DENOM = 2.0 * sum(k * k for k in range(1, DELTA_REACH + 1))
 
 
@@ -271,11 +265,9 @@ def add_deltas(values: np.ndarray) -> np.ndarray:
     return np.concatenate([values, d1, _delta(d1)], axis=1)
 
 
-def stack_context(values: np.ndarray, w: int = 7) -> np.ndarray:
-    """Concatenate frames t-w//2 .. t+w//2 per position, edges replicated."""
-    if w % 2 == 0:
-        raise EvenWindow(f"context window must be odd, got {w}")
-    half = w // 2
+def stack_context(values: np.ndarray) -> np.ndarray:
+    """Concatenate the CONTEXT_FRAMES frames centred on each position, edges replicated."""
+    half = CONTEXT_FRAMES // 2
     n = values.shape[0]
     cols = []
     for off in range(-half, half + 1):
@@ -297,6 +289,8 @@ def _power(wave: Waveform, segments: int) -> np.ndarray:
     mean goes through a cumulative sum, which would round them differently.
     """
     sr = wave.sample_rate
+    if sr != SAMPLE_RATE:
+        raise SampleRateMismatch(f"spectral features need {SAMPLE_RATE} Hz input, got {sr} Hz")
     win = int(round(SHORT_WINDOW_SECONDS * sr))
     hop = int(round(HOP_SECONDS * sr))
     if len(wave) < win:

@@ -8,6 +8,10 @@ import numpy as np
 
 from .autodiff import Parameter
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class PolySchedule:
@@ -26,12 +30,11 @@ class PolySchedule:
 class Adam:
     """Standard Adam; moments are float32 like the parameters they track."""
 
-    def __init__(self, params: list[Parameter], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[Parameter]):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params}
         self.v = {p.name: np.zeros_like(p.data) for p in params}
@@ -42,7 +45,7 @@ class Adam:
 
     def step(self, lr: float):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         for p in self.params:
@@ -55,4 +58,4 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -30,6 +30,7 @@ from .config import TrainConfig
 from .distortion import DistortionConfig, _check_pools, contaminate
 from .encoder import Encoder, EncoderConfig
 from .errors import (
+    ConfigError,
     DegenerateSplit,
     EmptyCorpus,
     MalformedContainer,
@@ -84,7 +85,7 @@ class Model:
 
 def build_model(enc_cfg: EncoderConfig, rng: np.random.Generator) -> Model:
     encoder = Encoder(enc_cfg, rng)
-    workers = W.WorkerSet(W.default_roster(), enc_cfg.embedding_dim, rng, enc_cfg.sample_rate)
+    workers = W.WorkerSet(enc_cfg.embedding_dim, rng, enc_cfg.sample_rate)
     standardizer = W.TargetStandardizer(sample_rate=enc_cfg.sample_rate)
     return Model(encoder, workers, standardizer, enc_cfg)
 
@@ -115,7 +116,10 @@ def save_model(path: str, model: Model, extra_meta: dict | None = None,
 
 def load_model(path: str) -> tuple[Model, dict[str, str]]:
     arrays, meta = load_checkpoint(path)
-    enc_cfg = EncoderConfig.from_meta(meta)
+    try:
+        enc_cfg = EncoderConfig.from_meta(meta)
+    except ConfigError as exc:
+        raise MalformedContainer(f"{path}: {exc}") from None
     model = build_model(enc_cfg, np.random.default_rng(0))
     for p in model.parameters():
         stored = arrays.get(p.name)
@@ -130,7 +134,10 @@ def load_model(path: str) -> tuple[Model, dict[str, str]]:
         if name in arrays:
             buf[...] = arrays[name]
     if any(k.startswith(STATS_PREFIX) for k in arrays):
-        model.standardizer.load_state(arrays)
+        try:
+            model.standardizer.load_state(arrays)
+        except KeyError as exc:
+            raise MalformedContainer(f"{path}: missing statistics record {exc.args[0]}") from None
     return model, meta
 
 
@@ -373,38 +380,31 @@ def extract(checkpoint_path: str, manifest_path: str, out_dir: str) -> list[str]
 PROBE_EPOCHS = 100
 PROBE_LR = 1e-2
 PROBE_TRAIN_FRACTION = 0.75
+PROBE_MIN_PER_CLASS = 4
 
 
-@dataclass
-class ProbeConfig:
-    checkpoint: str
-    manifest: str
-    out_json: str = ""
-    seed: int = 0
-    min_per_class: int = 4
-
-
-def probe(cfg: ProbeConfig) -> dict:
-    """Train a linear classifier on mean-pooled frozen embeddings."""
-    model, _ = load_model(cfg.checkpoint)
+def probe(checkpoint: str, manifest: str, out_json: str = "", seed: int = 0) -> dict:
+    """Train a linear classifier on mean-pooled frozen embeddings; the report
+    is also written to `out_json` when that is given."""
+    model, _ = load_model(checkpoint)
     sample_rate = model.encoder_cfg.sample_rate
-    corpus = load_corpus(cfg.manifest, "clean_speech", sample_rate)
+    corpus = load_corpus(manifest, "clean_speech", sample_rate)
 
     classes = sorted({e.speaker_id for e in corpus})
     if len(classes) < 2:
         raise DegenerateSplit("probe needs at least two classes")
     per_class = {c: [e for e in corpus if e.speaker_id == c] for c in classes}
     for c, members in per_class.items():
-        if len(members) < cfg.min_per_class:
+        if len(members) < PROBE_MIN_PER_CLASS:
             raise DegenerateSplit(
-                f"class {c!r} has {len(members)} utterances, need {cfg.min_per_class}"
+                f"class {c!r} has {len(members)} utterances, need {PROBE_MIN_PER_CLASS}"
             )
 
     feats = {
         e.utterance_id: encode_utterance(model.encoder, e.wave.samples, sample_rate).mean(axis=0)
         for e in corpus
     }
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     train_x, train_y, test_x, test_y = [], [], [], []
     for ci, c in enumerate(classes):
         members = per_class[c]
@@ -458,8 +458,8 @@ def probe(cfg: ProbeConfig) -> dict:
         "test_accuracy": test_acc,
         "confusion_matrix": confusion.tolist(),
     }
-    if cfg.out_json:
-        write_file(cfg.out_json, [json.dumps(report, indent=2, sort_keys=True).encode("utf-8")])
+    if out_json:
+        write_file(out_json, [json.dumps(report, indent=2, sort_keys=True).encode("utf-8")])
     return report
 
 

@@ -17,11 +17,11 @@ from . import autodiff as ad
 from . import features as F
 from .audio_io import Waveform
 from .autodiff import Parameter, Tensor
+from .checkpoint import STATS_PREFIX
 from .errors import EmptyList, FrameGridMismatch, SingleUtteranceBatch
 
 REGRESSION_KINDS = ("wave",) + F.FEATURE_KINDS
 
-CONTEXT_FRAMES = 7
 HIDDEN_UNITS = 256
 STD_FLOOR = 1e-3
 
@@ -44,7 +44,7 @@ def target_dim(target_kind: str, sample_rate: int = 16000) -> int:
     """Output width of one regression worker."""
     if target_kind == "wave":
         return int(round(F.HOP_SECONDS * sample_rate))
-    return F.FEATURE_DIMS[target_kind] * 3 * CONTEXT_FRAMES
+    return F.FEATURE_DIMS[target_kind] * 3 * F.CONTEXT_FRAMES
 
 
 def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int = 16000) -> np.ndarray:
@@ -59,20 +59,19 @@ def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int =
         return np.asarray(samples[: n * hop], dtype=np.float64).reshape(n, hop)
     wave = Waveform(np.asarray(samples, dtype=np.float32), sample_rate)
     feat = F.extract_feature(wave, target_kind)
-    return F.stack_context(F.add_deltas(feat), CONTEXT_FRAMES)
+    return F.stack_context(F.add_deltas(feat))
 
 
 class TargetStandardizer:
-    """Per-dimension mean/std of each worker target over the training corpus."""
+    """Per-dimension mean/std of every regression target over the training corpus."""
 
-    def __init__(self, kinds=REGRESSION_KINDS, sample_rate: int = 16000):
-        self.kinds = tuple(kinds)
+    def __init__(self, sample_rate: int = 16000):
         self.sample_rate = sample_rate
         self.mean: dict[str, np.ndarray] = {}
         self.std: dict[str, np.ndarray] = {}
 
     def fit(self, chunks: list[np.ndarray]) -> None:
-        for kind in self.kinds:
+        for kind in REGRESSION_KINDS:
             count = 0
             acc = None
             acc2 = None
@@ -98,17 +97,17 @@ class TargetStandardizer:
 
     def state(self) -> dict[str, np.ndarray]:
         out = {}
-        for kind in self.kinds:
-            out[f"__stats__/{kind}/mean"] = self.mean[kind]
-            out[f"__stats__/{kind}/std"] = self.std[kind]
+        for kind in REGRESSION_KINDS:
+            out[f"{STATS_PREFIX}{kind}/mean"] = self.mean[kind]
+            out[f"{STATS_PREFIX}{kind}/std"] = self.std[kind]
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Copies each statistic: a kept view of a loaded checkpoint would
         hold the whole file in memory."""
-        for kind in self.kinds:
-            self.mean[kind] = arrays[f"__stats__/{kind}/mean"].copy()
-            self.std[kind] = arrays[f"__stats__/{kind}/std"].copy()
+        for kind in REGRESSION_KINDS:
+            self.mean[kind] = arrays[f"{STATS_PREFIX}{kind}/mean"].copy()
+            self.std[kind] = arrays[f"{STATS_PREFIX}{kind}/std"].copy()
 
 
 def _init_linear(rng, out_dim, in_dim):
@@ -302,15 +301,12 @@ def total_loss(worker_losses: list[Tensor]) -> Tensor:
 
 
 class WorkerSet:
-    """All twelve heads plus their specs, keyed for checkpointing."""
+    """The twelve heads of `default_roster()` and their specs, keyed for checkpointing."""
 
-    def __init__(self, roster: list[WorkerSpec], embedding_dim: int, rng, sample_rate: int = 16000):
-        names = [s.name for s in roster]
-        if len(set(names)) != len(names):
-            raise ValueError("worker names must be unique")
-        self.roster = list(roster)
+    def __init__(self, embedding_dim: int, rng, sample_rate: int = 16000):
+        self.roster = default_roster()
         self.heads: dict[str, WorkerHead] = {}
-        for spec in roster:
+        for spec in self.roster:
             if spec.kind == "regression":
                 out_dim = target_dim(spec.target_kind, sample_rate)
                 in_dim = embedding_dim

@@ -434,19 +434,19 @@ def _reference_log_power_spectrum(frames):
     return np.log(np.maximum(F.power_spectrum(frames), F.LOG_FLOOR))
 
 
-def _reference_mel_fbank(frames, n_filters=F.N_FILTERS):
-    weights, _ = F.mel_filterbank(n_filters)
+def _reference_mel_fbank(frames):
+    weights, _ = F.mel_filterbank()
     energies = F.power_spectrum(frames) @ weights.T
     return np.log(np.maximum(energies, F.LOG_FLOOR))
 
 
 def _reference_mfcc(frames, n_coeffs=F.N_MFCC):
     logmel = _reference_mel_fbank(frames)
-    return logmel @ F.dct_matrix(logmel.shape[1])[:n_coeffs].T
+    return logmel @ F.dct_matrix()[:n_coeffs].T
 
 
-def _reference_gammatone(frames, n_filters=F.N_FILTERS):
-    weights, _, _ = F.gammatone_filterbank(n_filters)
+def _reference_gammatone(frames):
+    weights, _, _ = F.gammatone_filterbank()
     energies = F.power_spectrum(frames) @ weights.T
     return np.log(np.maximum(energies, F.LOG_FLOOR))
 
@@ -485,7 +485,7 @@ def _reference_long_window_features(wave, kind):
     elif base == "mfcc":
         weights, _ = F.mel_filterbank()
         logmel = np.log(np.maximum(p @ weights.T, F.LOG_FLOOR))
-        vals = logmel @ F.dct_matrix(logmel.shape[1])[:F.N_MFCC].T
+        vals = logmel @ F.dct_matrix()[:F.N_MFCC].T
     else:  # gammatone
         weights, _, _ = F.gammatone_filterbank()
         vals = np.log(np.maximum(p @ weights.T, F.LOG_FLOOR))

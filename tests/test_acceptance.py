@@ -22,7 +22,7 @@ from pase.encoder import Encoder, EncoderConfig, QRNNLayer, sinc_bandpass_kernel
 from pase.features import LOG_FLOOR, SPECTRAL_MAPS, add_deltas, mel_filterbank, power_spectrum
 from pase.rir import ImpulseResponse, generate_rir_image_method
 from pase.toygen import make_toy_corpus
-from pase.trainer import ProbeConfig, load_model, pretrain, probe
+from pase.trainer import load_model, pretrain, probe
 
 from oracles import (
     gradcheck,
@@ -210,7 +210,7 @@ def _full_graph_builder(rng):
     per-op suite.
     """
     enc = Encoder(EncoderConfig(), rng)
-    workers = W.WorkerSet(W.default_roster(), 256, rng, SR)
+    workers = W.WorkerSet(256, rng, SR)
     for p in enc.parameters() + workers.parameters():
         p.data = p.data.astype(np.float64)
         if p.name.endswith("prelu/alpha"):
@@ -496,20 +496,8 @@ def test_criterion_training_descent(toy_run):
 
 
 def test_criterion_probe_lift(toy_run):
-    trained = probe(
-        ProbeConfig(
-            checkpoint=toy_run["final"],
-            manifest=toy_run["corpus"]["probe"],
-            seed=0,
-        )
-    )
-    baseline = probe(
-        ProbeConfig(
-            checkpoint=toy_run["init"],
-            manifest=toy_run["corpus"]["probe"],
-            seed=0,
-        )
-    )
+    trained = probe(toy_run["final"], toy_run["corpus"]["probe"], seed=0)
+    baseline = probe(toy_run["init"], toy_run["corpus"]["probe"], seed=0)
     ok = trained["test_accuracy"] > 0.5 and trained["test_accuracy"] > baseline["test_accuracy"]
     report(
         "probe-lift",

@@ -3,8 +3,8 @@ import pytest
 
 import pase.autodiff as ad
 from pase.autodiff import Tensor
+from pase.autodiff import BN_EPS
 from pase.encoder import (
-    BN_EPS,
     ConvBlock,
     Encoder,
     EncoderConfig,
@@ -13,7 +13,7 @@ from pase.encoder import (
     SkipAggregate,
     sinc_bandpass_kernels,
 )
-from pase.errors import ShapeMismatch, TooShort
+from pase.errors import ConfigError, ShapeMismatch, TooShort
 
 from oracles import gradcheck, sequential_qrnn
 
@@ -36,7 +36,7 @@ def test_config_requires_160_sample_hop():
     cfg = EncoderConfig()
     assert cfg.hop_samples == 160
     bad = EncoderConfig(block_strides=(10, 2, 2, 2, 1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="block_strides"):
         bad.validate()
 
 

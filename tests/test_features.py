@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pase.features as F
 from pase.audio_io import Waveform
-from pase.errors import EvenWindow, TooFewFrames, TooShort
+from pase.errors import SampleRateMismatch, TooFewFrames, TooShort
 
 from oracles import (
     naive_dct2_orthonormal,
@@ -118,7 +118,7 @@ def test_fbank_sine_at_center_argmax(j):
 
 
 def test_mfcc_of_constant_mel_vector_is_dc_only():
-    d = F.dct_matrix(40)
+    d = F.dct_matrix()
     coeffs = d @ np.full(40, 2.71)
     assert abs(coeffs[0]) > 0
     assert np.max(np.abs(coeffs[1:])) < 1e-12
@@ -136,7 +136,7 @@ def test_mfcc_matches_naive_dct_oracle(rng):
 def test_mfcc_is_dct_of_fbank(rng):
     frames = rng.uniform(-1, 1, (4, 400))
     got = spectral("mfcc", frames)
-    recomposed = spectral("fbank", frames) @ F.dct_matrix(40)[:13].T
+    recomposed = spectral("fbank", frames) @ F.dct_matrix()[:13].T
     assert np.array_equal(got, recomposed)
 
 
@@ -236,16 +236,14 @@ def test_deltas_need_five_frames():
 
 def test_stack_context_identity_and_shape(rng):
     track = rng.standard_normal((10, 3))
-    assert np.array_equal(F.stack_context(track, 1), track)
-    stacked = F.stack_context(track, 7)
+    stacked = F.stack_context(track)
     assert stacked.shape == (10, 21)
-    with pytest.raises(EvenWindow):
-        F.stack_context(track, 4)
+    assert np.array_equal(stacked[:, 9:12], track)  # the centre frame
 
 
 def test_stack_context_edge_replication(rng):
     track = rng.standard_normal((10, 2))
-    out = F.stack_context(track, 7)
+    out = F.stack_context(track)
     # offsets -3..-1 at frame 0 all replicate frame 0
     assert np.array_equal(out[0, 0:2], track[0])
     assert np.array_equal(out[0, 2:4], track[0])
@@ -309,6 +307,16 @@ def test_extract_feature_rejects_short_input_and_unknown_kinds():
     for kind in ("wave", "prosody_long", "foo"):
         with pytest.raises(ValueError):
             F.extract_feature(wave, kind)
+
+
+@pytest.mark.parametrize("rate", [8000, 22050])
+def test_spectral_kinds_reject_other_sample_rates(rng, rate):
+    # the filterbanks and the 512-point FFT are built for 16 kHz
+    wave = Waveform(rng.uniform(-0.5, 0.5, rate).astype(np.float32), rate)
+    for kind in F.SHORT_KINDS + F.LONG_KINDS:
+        with pytest.raises(SampleRateMismatch, match=f"{rate} Hz"):
+            F.extract_feature(wave, kind)
+    assert F.extract_feature(wave, "prosody").shape == (len(wave) // round(rate / 100), 4)
 
 
 def test_translation_consistency_one_hop():

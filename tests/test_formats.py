@@ -1,4 +1,5 @@
 import configparser
+import re
 import struct
 import zlib
 from dataclasses import fields
@@ -7,13 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pase.trainer as T
 from pase.checkpoint import (
+    STATS_PREFIX,
     decode_meta,
     encode_meta,
     load_checkpoint,
     save_checkpoint,
 )
 from pase.config import TrainConfig, default_config_text, load_train_config
+from pase.encoder import EncoderConfig
 from pase.errors import ChecksumMismatch, ConfigError, IncompatibleVersion, MalformedContainer
 from pase.features import read_pfea, write_pfea
 
@@ -129,6 +133,33 @@ def test_checkpoint_record_past_the_end_is_malformed(tmp_path, record):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(MalformedContainer, match="short.pckp"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"sinc_kernel": None}, "sinc_kernel"),
+    ({"sinc_kernel": "wide"}, "sinc_kernel"),
+    ({"block_strides": "10,2,2,2,1,1,1"}, "block_strides"),
+    ({f"{STATS_PREFIX}lps/mean": "stats"}, f"{STATS_PREFIX}wave/mean"),
+], ids=["missing-key", "unparsable-value", "stride-product", "partial-stats"])
+def test_load_model_bad_meta_or_stats_is_malformed(tmp_path, edit, key):
+    # a None meta value deletes the key; a "stats" one adds a lone statistics record
+    tiny = EncoderConfig(
+        sinc_filters=4, sinc_kernel=33, block_channels=(4, 8, 8, 8, 8, 8, 8),
+        block_kernels=(11, 5, 5, 5, 5, 5, 5), qrnn_hidden=8, embedding_dim=8,
+    )
+    model = T.build_model(tiny, np.random.default_rng(0))
+    arrays, meta = model.arrays(), T.model_meta(model)
+    for name, value in edit.items():
+        if value is None:
+            del meta[name]
+        elif value == "stats":
+            arrays[name] = np.zeros(3, dtype=np.float32)
+        else:
+            meta[name] = value
+    path = str(tmp_path / "bad.pckp")
+    save_checkpoint(path, arrays, meta)
+    with pytest.raises(MalformedContainer, match=f"bad.pckp: .*{re.escape(key)}"):
+        T.load_model(path)
 
 
 def test_meta_codec_round_trip():

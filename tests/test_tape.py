@@ -247,7 +247,7 @@ def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
     rng = np.random.default_rng(7)
     sr = 16000
     encoder = tiny_encoder(rng)
-    workers = W.WorkerSet(W.default_roster(), 8, rng, sr)
+    workers = W.WorkerSet(8, rng, sr)
     clean = [rng.uniform(-0.5, 0.5, 3200).astype(np.float32) for _ in range(2)]
     views = (np.stack(clean)[:, None, :], rng.uniform(-0.5, 0.5, (2, 1, 3200)).astype(np.float32))
     std = W.TargetStandardizer(sample_rate=sr)

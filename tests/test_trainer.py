@@ -163,13 +163,7 @@ def test_extract_four_seconds_gives_400_frames(trained, tmp_path):
 def test_probe_reports_and_leaves_checkpoint_frozen(trained, tmp_path):
     ckpt_hash_before = hashlib.sha256(open(trained["final"], "rb").read()).hexdigest()
     report = T.probe(
-        T.ProbeConfig(
-            checkpoint=trained["final"],
-            manifest=trained["paths"]["probe"],
-            out_json=str(tmp_path / "report.json"),
-            seed=0,
-            min_per_class=2,
-        )
+        trained["final"], trained["paths"]["probe"], out_json=str(tmp_path / "report.json")
     )
     assert set(report) >= {
         "classes", "train_accuracy", "test_accuracy", "confusion_matrix", "n_train", "n_test",
@@ -193,11 +187,7 @@ def test_probe_shuffled_labels_near_chance(trained, tmp_path):
         "\n".join(f"{r[0]}\t{s}\t{r[2]}" for r, s in zip(rows, shuffled)) + "\n",
         encoding="utf-8",
     )
-    report = T.probe(
-        T.ProbeConfig(
-            checkpoint=trained["final"], manifest=str(manifest), seed=1, min_per_class=2
-        )
-    )
+    report = T.probe(trained["final"], str(manifest), seed=1)
     n = report["n_test"]
     chance = 1.0 / len(report["classes"])
     sigma = np.sqrt(chance * (1 - chance) / n)

@@ -71,7 +71,7 @@ def test_targets_depend_only_on_clean_chunk(rng):
 
 def test_standardizer_round_trip(rng):
     chunks = [rng.uniform(-0.5, 0.5, 32000).astype(np.float32) for _ in range(3)]
-    std = W.TargetStandardizer(kinds=("mfcc", "wave"), sample_rate=SR)
+    std = W.TargetStandardizer(sample_rate=SR)
     std.fit(chunks)
     raw = W.regression_targets(chunks[0], "mfcc", SR)
     z = std.transform("mfcc", raw, np.empty(raw.shape, np.float32))
@@ -79,14 +79,14 @@ def test_standardizer_round_trip(rng):
     assert np.all(np.isfinite(z))
 
     state = std.state()
-    other = W.TargetStandardizer(kinds=("mfcc", "wave"), sample_rate=SR)
+    other = W.TargetStandardizer(sample_rate=SR)
     other.load_state(state)
     assert np.array_equal(other.transform("mfcc", raw, np.empty(raw.shape, np.float32)), z)
 
 
 def test_standardized_corpus_targets_have_unit_scale(rng):
     chunks = [rng.uniform(-0.5, 0.5, 32000).astype(np.float32) for _ in range(4)]
-    std = W.TargetStandardizer(kinds=("fbank",), sample_rate=SR)
+    std = W.TargetStandardizer(sample_rate=SR)
     std.fit(chunks)
     raw = [W.regression_targets(c, "fbank", SR) for c in chunks]
     stacked = np.concatenate([std.transform("fbank", r, np.empty(r.shape, np.float32)) for r in raw])
@@ -104,7 +104,7 @@ def test_worker_head_capacity_is_fixed(rng):
 
 def test_regression_worker_loss_zero_when_head_matches(rng):
     samples = [rng.uniform(-0.3, 0.3, 32000).astype(np.float32)]
-    std = W.TargetStandardizer(kinds=("mfcc",), sample_rate=SR)
+    std = W.TargetStandardizer(sample_rate=SR)
     std.fit(samples)
     raw = W.regression_targets(samples[0], "mfcc", SR)
     target = std.transform("mfcc", raw, np.empty(raw.shape, np.float32))
@@ -151,7 +151,7 @@ def test_target_batch_equals_stacked_transforms(rng, monkeypatch, fewer_frames):
 
 def test_regression_worker_frame_grid_mismatch(rng):
     samples = [rng.uniform(-0.3, 0.3, 32000).astype(np.float32)]
-    std = W.TargetStandardizer(kinds=("mfcc",), sample_rate=SR)
+    std = W.TargetStandardizer(sample_rate=SR)
     std.fit(samples)
     emb = Tensor(rng.standard_normal((1, 256, 150)).astype(np.float32))  # 50 off
     spec = W.WorkerSpec("mfcc", "regression", "mfcc")
@@ -282,7 +282,7 @@ def test_total_loss_gradient_distributes_equally(rng):
 
 
 def test_worker_set_parameters_unique(rng):
-    ws = W.WorkerSet(W.default_roster(), 256, rng, SR)
+    ws = W.WorkerSet(256, rng, SR)
     names = [p.name for p in ws.parameters()]
     assert len(names) == len(set(names))
     assert len(ws.heads) == 12
