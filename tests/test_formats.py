@@ -135,27 +135,27 @@ def test_checkpoint_record_past_the_end_is_malformed(tmp_path, record):
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("edit, key", [
-    ({"sinc_kernel": None}, "sinc_kernel"),
-    ({"sinc_kernel": "wide"}, "sinc_kernel"),
-    ({"block_strides": "10,2,2,2,1,1,1"}, "block_strides"),
-    ({f"{STATS_PREFIX}lps/mean": "stats"}, f"{STATS_PREFIX}wave/mean"),
+@pytest.mark.parametrize("name, value, key", [
+    ("sinc_kernel", None, "sinc_kernel"),
+    ("sinc_kernel", "wide", "sinc_kernel"),
+    ("block_strides", "10,2,2,2,1,1,1", "block_strides"),
+    (f"{STATS_PREFIX}lps/mean", np.zeros(3, np.float32), f"{STATS_PREFIX}wave/mean"),
 ], ids=["missing-key", "unparsable-value", "stride-product", "partial-stats"])
-def test_load_model_bad_meta_or_stats_is_malformed(tmp_path, edit, key):
-    # a None meta value deletes the key; a "stats" one adds a lone statistics record
+def test_load_model_bad_meta_or_stats_is_malformed(tmp_path, name, value, key):
+    # None deletes a meta key and a string replaces its value; an array is
+    # the one statistics record of a file that should hold all of them
     tiny = EncoderConfig(
         sinc_filters=4, sinc_kernel=33, block_channels=(4, 8, 8, 8, 8, 8, 8),
         block_kernels=(11, 5, 5, 5, 5, 5, 5), qrnn_hidden=8, embedding_dim=8,
     )
     model = T.build_model(tiny, np.random.default_rng(0))
     arrays, meta = model.arrays(), T.model_meta(model)
-    for name, value in edit.items():
-        if value is None:
-            del meta[name]
-        elif value == "stats":
-            arrays[name] = np.zeros(3, dtype=np.float32)
-        else:
-            meta[name] = value
+    if value is None:
+        del meta[name]
+    elif isinstance(value, str):
+        meta[name] = value
+    else:
+        arrays[name] = value
     path = str(tmp_path / "bad.pckp")
     save_checkpoint(path, arrays, meta)
     with pytest.raises(MalformedContainer, match=f"bad.pckp: .*{re.escape(key)}"):
