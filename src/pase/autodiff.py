@@ -44,6 +44,11 @@ BN_EPS = 1e-5
 _grad_enabled = True
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the graph now (False inside `no_grad`)."""
+    return _grad_enabled
+
+
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference / extraction)."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .distortion import DISTORTION_ORDER, DistortionConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError, SingleUtteranceBatch
+from .features import SAMPLE_RATE
 from .files import read_file
 
 
@@ -51,6 +52,12 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         self.distortion.validate()
         self.encoder.validate()
+        if self.encoder.sample_rate != SAMPLE_RATE:
+            # the spectral worker targets' filterbanks are built for one rate
+            raise ConfigError(
+                f"encoder sample_rate is {self.encoder.sample_rate}; "
+                f"the worker targets need {SAMPLE_RATE}"
+            )
 
 
 # the comment written above a key, or above a section and a blank line

@@ -1,6 +1,8 @@
 """Waveform encoder: learnable sinc band-pass front end, seven conv blocks
 with batch norm + PReLU, projected skip connections summed into the output,
 and a single causal QRNN layer, producing 256-dim embeddings every 10 ms.
+Block0's conv belongs to the front end (`SincLayer`), which runs it folded
+into the sinc filters when no gradient is recorded.
 """
 
 from __future__ import annotations
@@ -137,7 +139,15 @@ def sinc_bandpass_kernels(
 
 
 class SincLayer:
-    """First convolution; every kernel is a parameterized band-pass filter."""
+    """The front end: learnable band-pass sinc filters, then block0's conv.
+
+    Nothing nonlinear sits between the two convolutions, so `forward`
+    returns block0's pre-norm conv output and `Encoder.blocks[0]` applies
+    only batch norm and PReLU. Block0's weights keep their checkpoint names,
+    `<prefix>/block0/conv/w` and `/b`. While the graph is recorded the two
+    convs run one after the other; under `no_grad` they run as one conv of
+    the waveform (see `_folded`).
+    """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, prefix: str):
         self.cfg = cfg
@@ -149,8 +159,16 @@ class SincLayer:
         ))
         f1 = hz[:-1]
         band = np.diff(hz)
-        self.p_low = Parameter(f"{prefix}/p_low", f1 - cfg.sinc_min_low_hz)
-        self.p_band = Parameter(f"{prefix}/p_band", np.maximum(band - cfg.sinc_min_band_hz, 0.0))
+        self.p_low = Parameter(f"{prefix}/sinc/p_low", f1 - cfg.sinc_min_low_hz)
+        self.p_band = Parameter(
+            f"{prefix}/sinc/p_band", np.maximum(band - cfg.sinc_min_band_hz, 0.0)
+        )
+        ch, k = cfg.block_channels[0], cfg.block_kernels[0]
+        self.w = Parameter(f"{prefix}/block0/conv/w", _he_conv(rng, ch, n, k))
+        self.b = Parameter(f"{prefix}/block0/conv/b", np.zeros(ch, dtype=np.float32))
+        self.pad = (cfg.sinc_kernel - 1) // 2
+        self.conv_stride = cfg.block_strides[0]
+        self.conv_pad = (k - 1) // 2
 
     def cutoffs(self) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.cfg
@@ -171,11 +189,60 @@ class SincLayer:
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        pad = (self.cfg.sinc_kernel - 1) // 2
-        return ad.conv1d(x, self.kernels(), stride=self.cfg.sinc_stride, padding=pad)
+        """(B, 1, T) waveform -> block0's conv output, before batch norm."""
+        sinc = self.kernels()
+        if not ad.grad_enabled():
+            return self._folded(x, sinc)
+        h = ad.conv1d(x, sinc, stride=self.cfg.sinc_stride, padding=self.pad)
+        return ad.conv1d(h, self.w, self.b, stride=self.conv_stride, padding=self.conv_pad)
+
+    def _folded(self, x: Tensor, sinc: Tensor) -> Tensor:
+        """Both convs as one: W_eff[o, s0*j + i] = sum_c w[o, c, j] * sinc[c, i],
+        composed in float64, with stride s0*s1 and padding p_sinc + s0*p0.
+
+        Block0 zero-pads the sinc output, while the folded conv sees the
+        sinc of the zero-padded waveform there; the frames whose window
+        reaches past either end of the sinc output are recomputed with the
+        two convs, over only the sinc outputs they read.
+        """
+        s0, s1 = self.cfg.sinc_stride, self.conv_stride
+        k_sinc, k0 = sinc.shape[2], self.w.shape[2]
+        taps = sinc.data[:, 0, :].astype(np.float64)
+        w = self.w.data.astype(np.float64)
+        w_eff = np.zeros((self.w.shape[0], 1, k_sinc + s0 * (k0 - 1)))
+        for j in range(k0):
+            w_eff[:, 0, s0 * j : s0 * j + k_sinc] += w[:, :, j] @ taps
+        dtype = np.result_type(sinc.data, self.w.data)
+        out = ad.conv1d(x, Tensor(w_eff.astype(dtype)), self.b, stride=s0 * s1,
+                        padding=self.pad + s0 * self.conv_pad)
+        t_sinc = (x.shape[2] + 2 * self.pad - k_sinc) // s0 + 1
+        t_out = out.shape[2]
+        first = min(t_out, -(-self.conv_pad // s1))  # frames [0, first) read the left pad
+        last = max(first, -(-(t_sinc - k0 + 1 + self.conv_pad) // s1))  # [last, t_out) the right
+        for lo, hi in ((0, first), (last, t_out)):
+            if lo < hi:
+                out.data[:, :, lo:hi] = self._two_conv_frames(x, sinc, t_sinc, lo, hi)
+        return out
+
+    def _two_conv_frames(self, x: Tensor, sinc: Tensor, t_sinc: int, lo: int, hi: int):
+        """Block0's output frames lo..hi-1 by the two convs, computing only
+        the sinc outputs n0..n1-1 they read (block0's zero padding outside
+        0..t_sinc-1)."""
+        s0, s1 = self.cfg.sinc_stride, self.conv_stride
+        k_sinc, k0, t_in = sinc.shape[2], self.w.shape[2], x.shape[2]
+        n0 = s1 * lo - self.conv_pad
+        n1 = s1 * (hi - 1) + k0 - self.conv_pad
+        a, b = max(n0, 0), min(n1, t_sinc)
+        start = s0 * a - self.pad  # the waveform samples sinc outputs a..b-1 read
+        stop = s0 * (b - 1) + k_sinc - self.pad
+        seg = np.pad(x.data[:, :, max(start, 0) : min(stop, t_in)],
+                     ((0, 0), (0, 0), (max(0, -start), max(0, stop - t_in))))
+        h = ad.conv1d(Tensor(seg), sinc, stride=s0).data
+        h = np.pad(h, ((0, 0), (0, 0), (a - n0, n1 - b)))
+        return ad.conv1d(Tensor(h), self.w, self.b, stride=s1).data
 
     def parameters(self) -> list[Parameter]:
-        return [self.p_low, self.p_band]
+        return [self.p_low, self.p_band, self.w, self.b]
 
 
 def _he_conv(rng, out_ch, in_ch, kernel):
@@ -183,36 +250,49 @@ def _he_conv(rng, out_ch, in_ch, kernel):
     return (rng.standard_normal((out_ch, in_ch, kernel)) * scale).astype(np.float32)
 
 
-class ConvBlock:
-    """conv -> batch norm -> PReLU, the repeated encoder unit."""
+class NormPReLU:
+    """batch norm -> PReLU; block0 is one, after the front end's conv."""
 
-    def __init__(self, in_ch, out_ch, kernel, stride, rng, prefix):
-        self.kernel = kernel
-        self.stride = stride
+    def __init__(self, channels, prefix):
         self.prefix = prefix
-        self.w = Parameter(f"{prefix}/conv/w", _he_conv(rng, out_ch, in_ch, kernel))
-        self.b = Parameter(f"{prefix}/conv/b", np.zeros(out_ch, dtype=np.float32))
-        self.gamma = Parameter(f"{prefix}/bn/gamma", np.ones(out_ch, dtype=np.float32))
-        self.beta = Parameter(f"{prefix}/bn/beta", np.zeros(out_ch, dtype=np.float32))
-        self.running_mean = np.zeros(out_ch, dtype=np.float32)
-        self.running_var = np.ones(out_ch, dtype=np.float32)
-        self.alpha = Parameter(f"{prefix}/prelu/alpha", np.full(out_ch, 0.25, dtype=np.float32))
+        self.gamma = Parameter(f"{prefix}/bn/gamma", np.ones(channels, dtype=np.float32))
+        self.beta = Parameter(f"{prefix}/bn/beta", np.zeros(channels, dtype=np.float32))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
+        self.alpha = Parameter(f"{prefix}/prelu/alpha", np.full(channels, 0.25, dtype=np.float32))
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        pad = (self.kernel - 1) // 2
-        h = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=pad)
+    def forward(self, h: Tensor, training: bool) -> Tensor:
         return ad.batchnorm_prelu(
             h, self.gamma, self.beta, self.alpha, self.running_mean, self.running_var, training
         )
 
     def parameters(self):
-        return [self.w, self.b, self.gamma, self.beta, self.alpha]
+        return [self.gamma, self.beta, self.alpha]
 
     def buffers(self):
         return {
             f"{self.prefix}/bn/running_mean": self.running_mean,
             f"{self.prefix}/bn/running_var": self.running_var,
         }
+
+
+class ConvBlock(NormPReLU):
+    """conv -> batch norm -> PReLU, the repeated encoder unit."""
+
+    def __init__(self, in_ch, out_ch, kernel, stride, rng, prefix):
+        super().__init__(out_ch, prefix)
+        self.kernel = kernel
+        self.stride = stride
+        self.w = Parameter(f"{prefix}/conv/w", _he_conv(rng, out_ch, in_ch, kernel))
+        self.b = Parameter(f"{prefix}/conv/b", np.zeros(out_ch, dtype=np.float32))
+
+    def forward(self, x: Tensor, training: bool) -> Tensor:
+        pad = (self.kernel - 1) // 2
+        h = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=pad)
+        return super().forward(h, training)
+
+    def parameters(self):
+        return [self.w, self.b] + super().parameters()
 
 
 class SkipAggregate:
@@ -287,14 +367,13 @@ class Encoder:
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
-        self.sinc = SincLayer(cfg, rng, "encoder/sinc")
-        self.blocks = []
-        in_ch = cfg.sinc_filters
-        for i, (ch, k, s) in enumerate(
-            zip(cfg.block_channels, cfg.block_kernels, cfg.block_strides)
-        ):
-            self.blocks.append(ConvBlock(in_ch, ch, k, s, rng, f"encoder/block{i}"))
-            in_ch = ch
+        self.sinc = SincLayer(cfg, rng, "encoder")  # with block0's conv
+        self.blocks = [NormPReLU(cfg.block_channels[0], "encoder/block0")]
+        for i in range(1, len(cfg.block_channels)):
+            self.blocks.append(ConvBlock(
+                cfg.block_channels[i - 1], cfg.block_channels[i], cfg.block_kernels[i],
+                cfg.block_strides[i], rng, f"encoder/block{i}",
+            ))
         self.skip = SkipAggregate(cfg.block_channels, cfg.embedding_dim, rng, "encoder/skip")
         self.qrnn = QRNNLayer(cfg.embedding_dim, cfg.qrnn_hidden, cfg.qrnn_kernel, rng, "encoder/qrnn")
         self.emb_w = Parameter(

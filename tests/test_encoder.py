@@ -108,6 +108,71 @@ def test_sinc_cutoff_gradients_match_fd(rng):
     assert err < 1e-3
 
 
+# --- front end: the sinc filters, then block0's conv ------------------------------
+
+
+def two_convs(front: SincLayer, x: Tensor) -> Tensor:
+    """The front end as it trains: the sinc conv, then block0's conv."""
+    h = ad.conv1d(x, front.kernels(), stride=front.cfg.sinc_stride, padding=front.pad)
+    return ad.conv1d(h, front.w, front.b, stride=front.conv_stride, padding=front.conv_pad)
+
+
+@pytest.mark.parametrize("config", [EncoderConfig, small_config])
+@pytest.mark.parametrize("n", [32000, 8000, 8005])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_folded_front_end_matches_two_convs(config, n, batch):
+    rng = np.random.default_rng(n + batch)
+    enc = Encoder(config(), rng)
+    for p in enc.parameters():
+        p.data = p.data.astype(np.float64)
+    enc.sinc.b.data = rng.standard_normal(enc.sinc.b.shape)  # a bias the edge frames must carry
+    x = Tensor(rng.uniform(-0.5, 0.5, (batch, 1, n)))
+    with ad.no_grad():
+        want = two_convs(enc.sinc, x).data
+        got = enc.sinc.forward(x).data
+        folded = enc.forward(x, training=False).data
+    assert got.shape == want.shape
+    for frame in (0, -1):  # block0's zero padding of the sinc output
+        assert np.max(np.abs(got[:, :, frame] - want[:, :, frame])) < 1e-10
+    assert np.max(np.abs(got - want)) < 1e-10
+    unfolded = enc.forward(x, training=False)  # grad on: the two convs
+    assert unfolded.requires_grad
+    assert np.max(np.abs(folded - unfolded.data)) < 1e-10
+
+
+def test_front_end_with_grad_is_the_two_convs_bit_for_bit(rng):
+    enc = Encoder(EncoderConfig(), rng)
+    x = Tensor(rng.uniform(-0.5, 0.5, (2, 1, 8005)).astype(np.float32))
+    got = enc.sinc.forward(x)
+    want = two_convs(enc.sinc, x)
+    assert got.requires_grad
+    assert got.data.dtype == want.data.dtype == np.float32
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_parameter_names_and_order_are_the_checkpoint_layout():
+    enc = Encoder(EncoderConfig(), np.random.default_rng(0))
+    want = ["encoder/sinc/p_low", "encoder/sinc/p_band"]
+    for i in range(7):
+        want += [f"encoder/block{i}/{n}" for n in ("conv/w", "conv/b", "bn/gamma", "bn/beta", "prelu/alpha")]
+    want += [f"encoder/skip/proj{i}/{n}" for i in range(7) for n in ("w", "b")]
+    want += [f"encoder/qrnn/{gate}/{n}" for gate in "zfo" for n in ("w", "b")]
+    want += ["encoder/emb/w", "encoder/emb/b"]
+    assert [p.name for p in enc.parameters()] == want
+    assert list(enc.buffers()) == [
+        f"encoder/block{i}/bn/{n}" for i in range(7) for n in ("running_mean", "running_var")
+    ]
+    shapes = {p.name: p.shape for p in enc.parameters()}
+    assert shapes["encoder/block0/conv/w"] == (64, 64, 21)
+    assert shapes["encoder/block1/conv/w"] == (128, 64, 11)
+    # every weight tensor is drawn from the Generator in this order, so the
+    # signs of its values are the signs of the draws
+    draws = np.random.default_rng(0)
+    for p in enc.parameters():
+        if p.name.endswith("/w"):
+            assert np.array_equal(np.sign(p.data), np.sign(draws.standard_normal(p.shape))), p.name
+
+
 # --- conv block -------------------------------------------------------------------
 
 

@@ -341,6 +341,13 @@ def test_config_with_stale_probe_section_loads(tmp_path):
     assert cfg.epochs == 2
 
 
+def test_config_sample_rate_other_than_16k_is_config_error():
+    enc = EncoderConfig(sample_rate=8000, block_strides=(5, 2, 2, 2, 2, 1, 1))
+    enc.validate()  # a consistent encoder on its own
+    with pytest.raises(ConfigError, match="sample_rate is 8000"):
+        TrainConfig(encoder=enc).validate()
+
+
 def test_config_batch_size_one_is_single_utterance_error(tmp_path):
     from pase.errors import SingleUtteranceBatch
 
