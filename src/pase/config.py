@@ -50,6 +50,13 @@ class TrainConfig:
             raise SingleUtteranceBatch("batch_size must be >= 2 (contrastive workers)")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        for name in ("log_interval", "stats_chunks_per_utterance",
+                     "lim_triples_per_chunk", "gim_negatives_per_chunk"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.rir_max_order < 0:
+            # no image source would be kept: every RIR all zeros, every reverb silence
+            raise ConfigError(f"rir_max_order must be >= 0, got {self.rir_max_order}")
         self.distortion.validate()
         self.encoder.validate()
         if self.encoder.sample_rate != SAMPLE_RATE:

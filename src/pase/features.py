@@ -5,11 +5,12 @@ starting at t*hop, tail zero-padded. That keeps worker targets frame-aligned
 with the encoder output regardless of window length. All math runs in
 float64; callers cast to float32 at the training boundary.
 
-All spectral kinds share one framing, `_power`: 25 ms Hamming frames of the
-pre-emphasised signal on the 10 ms grid, one periodogram each. A long kind's
-frame t is the mean of the 18 periodograms of frames t .. t+17 (a 200 ms
-span). One map per base kind, `SPECTRAL_MAPS`, serves both window lengths.
-Every feature is a plain (frames, dims) float64 array.
+All spectral kinds share one framing and one FFT, in `batch_features`: 25 ms
+Hamming frames of the pre-emphasised signal on the 10 ms grid, one
+periodogram each. A long kind's frame t is the mean of the 18 periodograms of
+frames t .. t+17 (a 200 ms span). One map per base kind, `SPECTRAL_MAPS`,
+serves both window lengths. Every feature of one signal is a plain
+(frames, dims) float64 array.
 """
 
 from __future__ import annotations
@@ -56,28 +57,31 @@ FEATURE_DIMS = {kind: _BASE_DIMS[kind.removesuffix("_long")] for kind in FEATURE
 
 
 def pre_emphasize(samples: np.ndarray) -> np.ndarray:
+    """First-order pre-emphasis along the last axis."""
     x = np.asarray(samples, dtype=np.float64)
     out = np.empty_like(x)
-    out[0] = x[0]
-    out[1:] = x[1:] - PREEMPHASIS * x[:-1]
+    out[..., 0] = x[..., 0]
+    out[..., 1:] = x[..., 1:] - PREEMPHASIS * x[..., :-1]
     return out
 
 
 def _frame_raw(samples: np.ndarray, win: int, hop: int, n_frames: int | None = None) -> np.ndarray:
-    """Frames without a taper; frame t covers [t*hop, t*hop + win), tail padded."""
+    """Frames of the last axis without a taper; frame t covers
+    [t*hop, t*hop + win), tail padded. (..., N) -> (..., n_frames, win)."""
     x = np.asarray(samples, dtype=np.float64)
+    n = x.shape[-1]
     if n_frames is None:
-        n_frames = len(x) // hop
+        n_frames = n // hop
     need = (n_frames - 1) * hop + win
-    if need > len(x):
-        x = np.concatenate([x, np.zeros(need - len(x))])
+    if need > n:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (need - n,))], axis=-1)
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    return x[..., idx]
 
 
 def power_spectrum(frames: np.ndarray) -> np.ndarray:
-    """|FFT|^2 over the positive bins, one row per frame."""
-    spec = np.fft.rfft(frames, n=FFT_SIZE, axis=1)
+    """|FFT|^2 over the positive bins, one row per frame (the last axis)."""
+    spec = np.fft.rfft(frames, n=FFT_SIZE, axis=-1)
     return (spec.real**2 + spec.imag**2).astype(np.float64)
 
 
@@ -265,58 +269,71 @@ def add_deltas(values: np.ndarray) -> np.ndarray:
     return np.concatenate([values, d1, _delta(d1)], axis=1)
 
 
+def context_rows(n: int) -> list[np.ndarray]:
+    """Row indices of each of the CONTEXT_FRAMES context blocks, in stacking
+    order: block j holds frame t + j - CONTEXT_FRAMES // 2 at position t,
+    edges replicated."""
+    half = CONTEXT_FRAMES // 2
+    return [np.clip(np.arange(n) + off, 0, n - 1) for off in range(-half, half + 1)]
+
+
 def stack_context(values: np.ndarray) -> np.ndarray:
     """Concatenate the CONTEXT_FRAMES frames centred on each position, edges replicated."""
-    half = CONTEXT_FRAMES // 2
-    n = values.shape[0]
-    cols = []
-    for off in range(-half, half + 1):
-        idx = np.clip(np.arange(n) + off, 0, n - 1)
-        cols.append(values[idx])
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([values[rows] for rows in context_rows(values.shape[0])], axis=1)
 
 
-# --- spectral kinds on the shared grid -------------------------------------------
+# --- every kind of a batch from one spectral pass ------------------------------------
 
 # number of 25 ms sub-windows on the 10 ms grid covered by one 200 ms window
 _LONG_SEGMENTS = int((LONG_WINDOW_SECONDS - SHORT_WINDOW_SECONDS) / HOP_SECONDS) + 1
 
 
-def _power(wave: Waveform, segments: int) -> np.ndarray:
-    """Periodogram per 10 ms frame, averaged over `segments` consecutive frames.
+def batch_features(batch: np.ndarray, kinds, sample_rate: int = SAMPLE_RATE) -> dict[str, np.ndarray]:
+    """The requested kinds of each row of a (B, N) batch, as {kind: (B, frames, dims)}.
 
-    With segments == 1 the periodograms come back as computed: the running
-    mean goes through a cumulative sum, which would round them differently.
+    The spectral kinds are framed and FFT'd once for the whole batch. A short
+    kind maps the first `frames` periodograms; a long kind maps their running
+    mean over _LONG_SEGMENTS frames, which reads the _LONG_SEGMENTS - 1
+    frames after the last. The short periodograms are mapped as computed:
+    the running mean goes through a cumulative sum, which would round them
+    differently.
     """
-    sr = wave.sample_rate
-    if sr != SAMPLE_RATE:
-        raise SampleRateMismatch(f"spectral features need {SAMPLE_RATE} Hz input, got {sr} Hz")
-    win = int(round(SHORT_WINDOW_SECONDS * sr))
-    hop = int(round(HOP_SECONDS * sr))
-    if len(wave) < win:
-        raise TooShort(f"signal of {len(wave)} samples shorter than window {win}")
-    n = len(wave) // hop
-    frames = _frame_raw(pre_emphasize(wave.samples), win, hop, n_frames=n + segments - 1)
+    unknown = [kind for kind in kinds if kind not in FEATURE_KINDS]
+    if unknown:
+        raise ValueError(f"unknown feature kind {unknown[0]!r}")
+    spectral = [kind for kind in kinds if kind != "prosody"]
+    win = int(round(SHORT_WINDOW_SECONDS * sample_rate))
+    hop = int(round(HOP_SECONDS * sample_rate))
+    if spectral and sample_rate != SAMPLE_RATE:
+        raise SampleRateMismatch(
+            f"spectral features need {SAMPLE_RATE} Hz input, got {sample_rate} Hz"
+        )
+    if spectral and batch.shape[1] < win:
+        raise TooShort(f"signal of {batch.shape[1]} samples shorter than window {win}")
+    out = {}
+    if "prosody" in kinds:
+        out["prosody"] = np.stack([prosody(Waveform(row, sample_rate)) for row in batch])
+    if not spectral:
+        return out
+    n = batch.shape[1] // hop
+    extra = _LONG_SEGMENTS - 1 if any(kind in LONG_KINDS for kind in spectral) else 0
+    frames = _frame_raw(pre_emphasize(batch), win, hop, n_frames=n + extra)
     frames *= np.hamming(win)
-    p = power_spectrum(frames)
-    if segments == 1:
-        return p
-    csum = np.cumsum(p, axis=0)
-    csum = np.concatenate([np.zeros((1, p.shape[1])), csum], axis=0)
-    return (csum[segments:] - csum[:-segments])[:n] / segments
+    periodograms = power_spectrum(frames)
+    short = periodograms[:, :n]
+    if extra:
+        csum = np.cumsum(periodograms, axis=1)
+        csum = np.concatenate([np.zeros((len(batch), 1, csum.shape[2])), csum], axis=1)
+        long = (csum[:, _LONG_SEGMENTS:] - csum[:, :-_LONG_SEGMENTS]) / _LONG_SEGMENTS
+    for kind in spectral:
+        power = long if kind in LONG_KINDS else short
+        out[kind] = SPECTRAL_MAPS[kind.removesuffix("_long")](power)
+    return out
 
 
 def extract_feature(wave: Waveform, kind: str) -> np.ndarray:
     """Uniform entry point over every feature kind on the canonical grid."""
-    if kind == "prosody":
-        return prosody(wave)
-    if kind in SHORT_KINDS:
-        power = _power(wave, 1)
-    elif kind in LONG_KINDS:
-        power = _power(wave, _LONG_SEGMENTS)
-    else:
-        raise ValueError(f"unknown feature kind {kind!r}")
-    return SPECTRAL_MAPS[kind.removesuffix("_long")](power)
+    return batch_features(wave.samples[None], (kind,), wave.sample_rate)[kind][0]
 
 
 # --- PFEA binary tensor files ---------------------------------------------------

@@ -47,19 +47,70 @@ def target_dim(target_kind: str, sample_rate: int = 16000) -> int:
     return F.FEATURE_DIMS[target_kind] * 3 * F.CONTEXT_FRAMES
 
 
+def _unstacked_target(samples: np.ndarray, target_kind: str, sample_rate: int) -> np.ndarray:
+    """A worker's target before context stacking: the raw samples under each
+    frame for the waveform worker, features + deltas for every other one."""
+    if target_kind == "wave":
+        hop = int(round(F.HOP_SECONDS * sample_rate))
+        n = len(samples) // hop
+        return np.asarray(samples[: n * hop], dtype=np.float64).reshape(n, hop)
+    wave = Waveform(np.asarray(samples, dtype=np.float32), sample_rate)
+    return F.add_deltas(F.extract_feature(wave, target_kind))
+
+
+def _target_rows(target_kind: str, n: int) -> list[np.ndarray]:
+    """Rows of the unstacked target that make each column block of the
+    worker target: the 7-frame context, or the frames themselves for the
+    waveform worker."""
+    return [np.arange(n)] if target_kind == "wave" else F.context_rows(n)
+
+
 def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int = 16000) -> np.ndarray:
     """Worker target matrix (frames, dims) computed from the clean signal.
 
     The waveform worker predicts the raw samples under each frame; every
     other worker gets features + deltas stacked over a 7-frame context.
     """
-    if target_kind == "wave":
-        hop = int(round(F.HOP_SECONDS * sample_rate))
-        n = len(samples) // hop
-        return np.asarray(samples[: n * hop], dtype=np.float64).reshape(n, hop)
-    wave = Waveform(np.asarray(samples, dtype=np.float32), sample_rate)
-    feat = F.extract_feature(wave, target_kind)
-    return F.stack_context(F.add_deltas(feat))
+    values = _unstacked_target(samples, target_kind, sample_rate)
+    return values if target_kind == "wave" else F.stack_context(values)
+
+
+# chunks per spectral pass of the fit; it bounds the fit's memory whatever the corpus size
+FIT_BLOCK = 8
+
+
+def _fit_blocks(chunks: list[np.ndarray]):
+    """Runs of consecutive chunks of one length, at most FIT_BLOCK each, in order."""
+    block = []
+    for samples in chunks:
+        if block and (len(block) == FIT_BLOCK or len(samples) != len(block[0])):
+            yield block
+            block = []
+        block.append(samples)
+    yield block
+
+
+def _add_block_sums(block: list[np.ndarray], sample_rate: int, sums: dict, squares: dict,
+                    counts: dict) -> None:
+    """Adds each chunk's worker-target column sums, sums of squares and frame
+    count to `sums`, `squares` and `counts`, kind by kind and chunk by chunk,
+    from one spectral pass over the block. Each context block of a sum is
+    taken over the rows of the unstacked target that it repeats, in frame
+    order, so it has the bits of the stacked target's sum. The block's
+    features are freed on return."""
+    batch = np.asarray(np.stack(block), dtype=np.float32)
+    feats = F.batch_features(batch, F.FEATURE_KINDS, sample_rate)
+    for kind in REGRESSION_KINDS:
+        for i, samples in enumerate(block):
+            if kind == "wave":
+                values = _unstacked_target(samples, kind, sample_rate)
+            else:
+                values = F.add_deltas(feats[kind][i])
+            rows = _target_rows(kind, values.shape[0])
+            sq = values * values
+            sums[kind] += np.concatenate([values[r].sum(axis=0) for r in rows])
+            squares[kind] += np.concatenate([sq[r].sum(axis=0) for r in rows])
+            counts[kind] += values.shape[0]
 
 
 class TargetStandardizer:
@@ -71,29 +122,31 @@ class TargetStandardizer:
         self.std: dict[str, np.ndarray] = {}
 
     def fit(self, chunks: list[np.ndarray]) -> None:
+        """Mean and std of each worker target over `chunks`, FIT_BLOCK chunks
+        at a time. The sums are added chunk by chunk in order, as the stacked
+        targets' were, so the statistics keep their bits."""
+        if not chunks:
+            raise EmptyList("no chunks to fit the target statistics on")
+        # a numpy sum starts from +0.0, so it is never -0.0 and 0.0 + sum is the sum
+        sums = {kind: np.zeros(target_dim(kind, self.sample_rate)) for kind in REGRESSION_KINDS}
+        squares = {kind: np.zeros_like(acc) for kind, acc in sums.items()}
+        counts = dict.fromkeys(REGRESSION_KINDS, 0)
+        for block in _fit_blocks(chunks):
+            _add_block_sums(block, self.sample_rate, sums, squares, counts)
         for kind in REGRESSION_KINDS:
-            count = 0
-            acc = None
-            acc2 = None
-            for samples in chunks:
-                t = regression_targets(samples, kind, self.sample_rate)
-                if acc is None:
-                    acc = t.sum(axis=0)
-                    acc2 = (t * t).sum(axis=0)
-                else:
-                    acc += t.sum(axis=0)
-                    acc2 += (t * t).sum(axis=0)
-                count += t.shape[0]
-            mean = acc / count
-            var = np.maximum(acc2 / count - mean * mean, 0.0)
+            mean = sums[kind] / counts[kind]
+            var = np.maximum(squares[kind] / counts[kind] - mean * mean, 0.0)
             self.mean[kind] = mean.astype(np.float32)
             self.std[kind] = np.maximum(np.sqrt(var), STD_FLOOR).astype(np.float32)
 
-    def transform(self, kind: str, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def transform(self, kind: str, values: np.ndarray, out: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Standardized `values` written into the float32 array `out`. The
         arithmetic runs in `values`' precision and is rounded to float32
-        once, on the write."""
-        return np.divide(values - self.mean[kind], self.std[kind], out=out, casting="same_kind")
+        once, on the write. `cols` picks the columns of the worker target
+        that `values` holds."""
+        return np.divide(
+            values - self.mean[kind][cols], self.std[kind][cols], out=out, casting="same_kind"
+        )
 
     def state(self) -> dict[str, np.ndarray]:
         out = {}
@@ -158,23 +211,29 @@ def regression_worker_loss(
     """Frame-wise MSE between head(embedding) and standardized clean targets.
 
     The targets are standardized straight into one (B, frames, dim) float32
-    array, cut to the frames the embedding also has, and the head's output
-    layer and the MSE are one op, so no prediction is kept for backward.
+    array, one context block at a time, so no float64 context stack is
+    built. They are cut to the frames the embedding also has, and the head's
+    output layer and the MSE are one op, so no prediction is kept for
+    backward.
     """
     kind = spec.target_kind
     b, c, t_emb = emb.shape
     target = None
     for i, samples in enumerate(clean_batch):
-        t = regression_targets(samples, kind, sample_rate)
+        values = _unstacked_target(samples, kind, sample_rate)
         if target is None:
-            t_tgt = t.shape[0]
+            t_tgt = values.shape[0]
             if abs(t_emb - t_tgt) > 1:
                 raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
             t_common = min(t_emb, t_tgt)
-            target = np.empty((len(clean_batch), t_common, t.shape[1]), dtype=np.float32)
-        elif t.shape[0] != t_tgt:
-            raise FrameGridMismatch(f"chunk {i} gives {t.shape[0]} target frames, chunk 0 {t_tgt}")
-        standardizer.transform(kind, t[:t_common], out=target[i])
+            width = target_dim(kind, sample_rate)
+            target = np.empty((len(clean_batch), t_common, width), dtype=np.float32)
+        elif values.shape[0] != t_tgt:
+            raise FrameGridMismatch(f"chunk {i} gives {values.shape[0]} target frames, chunk 0 {t_tgt}")
+        w = values.shape[1]
+        for j, rows in enumerate(_target_rows(kind, t_tgt)):
+            cols = slice(j * w, (j + 1) * w)
+            standardizer.transform(kind, values[rows[:t_common]], out=target[i, :, cols], cols=cols)
     h = head.hidden(_flatten_frames(emb, t_common))
     return ad.linear_mse(h, head.w2, head.b2, target.reshape(b * t_common, -1))
 

@@ -425,9 +425,9 @@ def reference_rir_pool(rng, count=50, max_order=20, sample_rate=16000):
     return pool
 
 
-# --- feature targets: the per-kind paths that `features._power` and
+# --- feature targets: the per-kind paths that `features.batch_features` and
 # `features.SPECTRAL_MAPS` replaced, kept as the bitwise oracle for
-# `features.extract_feature` ------------------------------------------------------
+# `features.batch_features` and `features.extract_feature` ---------------------------
 
 
 def _reference_log_power_spectrum(frames):
@@ -513,6 +513,41 @@ def reference_extract_feature(wave, kind):
     if kind == "mfcc":
         return _reference_mfcc(frames)
     return _reference_gammatone(frames)
+
+
+def reference_fit_statistics(chunks, sample_rate=16000):
+    """The target statistics as `TargetStandardizer.fit` first computed them:
+    per kind and chunk, the whole stacked (frames, 7 * 3 * dims) target, its
+    column sums and sums of squares added chunk by chunk. Returns (mean, std),
+    dicts of float32 arrays keyed by worker target kind."""
+    hop = int(round(F.HOP_SECONDS * sample_rate))
+    half = F.CONTEXT_FRAMES // 2
+    mean, std = {}, {}
+    for kind in ("wave",) + F.FEATURE_KINDS:
+        count, acc, acc2 = 0, None, None
+        for samples in chunks:
+            if kind == "wave":
+                n = len(samples) // hop
+                t = np.asarray(samples[: n * hop], dtype=np.float64).reshape(n, hop)
+            else:
+                wave = Waveform(np.asarray(samples, dtype=np.float32), sample_rate)
+                values = F.add_deltas(reference_extract_feature(wave, kind))
+                n = values.shape[0]
+                t = np.concatenate(
+                    [values[np.clip(np.arange(n) + off, 0, n - 1)] for off in range(-half, half + 1)],
+                    axis=1,
+                )
+            if acc is None:
+                acc, acc2 = t.sum(axis=0), (t * t).sum(axis=0)
+            else:
+                acc += t.sum(axis=0)
+                acc2 += (t * t).sum(axis=0)
+            count += t.shape[0]
+        m = acc / count
+        var = np.maximum(acc2 / count - m * m, 0.0)
+        mean[kind] = m.astype(np.float32)
+        std[kind] = np.maximum(np.sqrt(var), 1e-3).astype(np.float32)  # the std floor
+    return mean, std
 
 
 def reference_contaminate(chunk, cfg, rng, speaker_id=None):

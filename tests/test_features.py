@@ -54,7 +54,7 @@ def test_frames_of_constant_signal_identical():
 
 def test_frame_too_short_raises():
     with pytest.raises(TooShort):
-        F._power(wave_of(np.zeros(100)), 1)
+        F.extract_feature(wave_of(np.zeros(100)), "lps")
 
 
 # --- log power spectrum ---------------------------------------------------------
@@ -296,6 +296,35 @@ def test_extract_feature_matches_per_kind_reference_bitwise(n, silent):
         assert got.shape == want.shape, kind
         assert got.tobytes() == want.tobytes(), kind
         assert got.shape[1] == F.FEATURE_DIMS[kind]
+
+
+@pytest.mark.parametrize("n", [32000, 8005, 400])
+@pytest.mark.parametrize("b", [1, 3])
+def test_batch_features_match_per_kind_reference_bitwise(b, n):
+    """One framing and one FFT for the batch give every row each kind's bytes
+    from its own per-kind pass."""
+    batch = np.random.default_rng(n + b).uniform(-0.8, 0.8, (b, n)).astype(np.float32)
+    batch[-1, : n // 2] = 0.0  # a silent stretch hits the log floor
+    got = F.batch_features(batch, F.FEATURE_KINDS, SR)
+    short_only = F.batch_features(batch, F.SHORT_KINDS, SR)  # framed without the long tail
+    assert sorted(got) == sorted(F.FEATURE_KINDS)
+    for kind in F.FEATURE_KINDS:
+        assert got[kind].shape == (b, n // 160, F.FEATURE_DIMS[kind]), kind
+        for i in range(b):
+            want = reference_extract_feature(wave_of(batch[i]), kind)
+            assert got[kind][i].tobytes() == want.tobytes(), (kind, i)
+            if kind in F.SHORT_KINDS:
+                assert short_only[kind][i].tobytes() == want.tobytes(), (kind, i)
+
+
+def test_batch_features_reject_short_rows_other_rates_and_unknown_kinds():
+    with pytest.raises(TooShort):
+        F.batch_features(np.zeros((3, 399), np.float32), F.FEATURE_KINDS, SR)
+    with pytest.raises(SampleRateMismatch):
+        F.batch_features(np.zeros((3, 8000), np.float32), ("prosody", "lps_long"), 8000)
+    assert F.batch_features(np.zeros((3, 8000), np.float32), ("prosody",), 8000)["prosody"].shape == (3, 100, 4)
+    with pytest.raises(ValueError):
+        F.batch_features(np.zeros((3, SR), np.float32), ("lps", "wave"), SR)
 
 
 def test_extract_feature_rejects_short_input_and_unknown_kinds():

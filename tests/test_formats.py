@@ -354,3 +354,20 @@ def test_config_batch_size_one_is_single_utterance_error(tmp_path):
     cfg = TrainConfig(batch_size=1)
     with pytest.raises(SingleUtteranceBatch):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("log_interval", 0),  # ZeroDivisionError at step 2
+        ("stats_chunks_per_utterance", 0),  # no chunk to fit the statistics on
+        ("lim_triples_per_chunk", 0),  # NonFiniteLoss at step 1
+        ("gim_negatives_per_chunk", 0),  # NonFiniteLoss at step 1
+        ("rir_max_order", -1),  # every RIR all zeros, every reverberated chunk silence
+    ],
+)
+def test_config_value_that_fails_late_is_config_error_at_startup(tmp_path, name, value):
+    cfg = TrainConfig(checkpoint_dir=str(tmp_path / "ckpt"), **{name: value})
+    with pytest.raises(ConfigError, match=name):
+        T.pretrain(cfg)
+    assert not (tmp_path / "ckpt").exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from pase.autodiff import Tensor
 from pase.distortion import DistortionConfig, contaminate
 from pase.errors import EmptyList, FrameGridMismatch, SingleUtteranceBatch
 
-from oracles import same_bytes
+from oracles import reference_fit_statistics, same_bytes
 
 SR = 16000
 
@@ -94,6 +96,48 @@ def test_standardized_corpus_targets_have_unit_scale(rng):
     assert np.abs(stacked.std(axis=0) - 1.0).max() < 1e-3
 
 
+@pytest.mark.parametrize(
+    "lengths,silent",
+    [([32000], False), ([32000] * 7, False), ([32000] * 9, False),
+     ([32000, 8005, 8005, 32000], False), ([32000] * 2, True)],
+    ids=["1", "7", "9", "mixed", "silent"],
+)
+def test_fit_equals_the_stacked_fit_bitwise(rng, lengths, silent):
+    # 9 chunks cross the fit's block of 8; mixed lengths split the blocks;
+    # silent chunks put every std at the floor
+    chunks = [(rng.uniform(-0.5, 0.5, n) * (0.1 + i)).astype(np.float32) for i, n in enumerate(lengths)]
+    chunks[-1][: len(chunks[-1]) // 2] = 0.0  # silence: log floors and zero deltas
+    if silent:
+        chunks = [np.zeros(n, dtype=np.float32) for n in lengths]
+    std = W.TargetStandardizer(sample_rate=SR)
+    std.fit(chunks)
+    mean, sd = reference_fit_statistics(chunks, SR)
+    for kind in W.REGRESSION_KINDS:
+        assert same_bytes(std.mean[kind], mean[kind]), kind
+        assert same_bytes(std.std[kind], sd[kind]), kind
+
+
+def test_fit_memory_does_not_grow_with_the_corpus(rng):
+    chunks = [rng.uniform(-0.5, 0.5, 32000).astype(np.float32) for _ in range(8 * W.FIT_BLOCK)]
+
+    def peak_bytes(subset):
+        tracemalloc.start()
+        try:
+            W.TargetStandardizer(sample_rate=SR).fit(subset)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 64 KiB of slack for the interpreter's own bookkeeping, which moves by
+    # about 2 KiB from run to run; one more chunk's features is about 3.5 MB
+    assert peak_bytes(chunks) <= peak_bytes(chunks[: W.FIT_BLOCK]) + 64 * 1024
+
+
+def test_fit_of_no_chunks_is_empty_list():
+    with pytest.raises(EmptyList):
+        W.TargetStandardizer(sample_rate=SR).fit([])
+
+
 def test_worker_head_capacity_is_fixed(rng):
     head = W.WorkerHead("h", 256, 273, rng)
     expected = 256 * 256 + 256 + 256 + 273 * 256 + 273
@@ -158,6 +202,17 @@ def test_regression_worker_frame_grid_mismatch(rng):
     head = W.WorkerHead("h", 256, 273, rng)
     with pytest.raises(FrameGridMismatch):
         W.regression_worker_loss(emb, samples, spec, head, std, SR)
+
+
+@pytest.mark.parametrize("kind", W.REGRESSION_KINDS)
+def test_regression_worker_chunks_of_unequal_length(rng, kind):
+    samples = [rng.uniform(-0.3, 0.3, n).astype(np.float32) for n in (32000, 31840)]
+    std = W.TargetStandardizer(sample_rate=SR)
+    std.fit(samples)
+    emb = Tensor(rng.standard_normal((2, 8, 200)).astype(np.float32))
+    head = W.WorkerHead(kind, 8, W.target_dim(kind, SR), rng)
+    with pytest.raises(FrameGridMismatch, match="chunk 1 gives 199"):
+        W.regression_worker_loss(emb, samples, W.WorkerSpec(kind, "regression", kind), head, std, SR)
 
 
 # --- contrastive sampling ----------------------------------------------------------
