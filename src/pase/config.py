@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .distortion import DISTORTION_ORDER, DistortionConfig
@@ -54,6 +55,12 @@ class TrainConfig:
                      "lim_triples_per_chunk", "gim_negatives_per_chunk"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a rate <= 0 trains by gradient ascent or not at all, and raises nothing;
+        # NaN raises only after an update has spoiled every parameter
+        if not (self.lr0 > 0 and math.isfinite(self.lr0)):
+            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if not (self.schedule_power >= 0 and math.isfinite(self.schedule_power)):
+            raise ConfigError(f"schedule_power must be finite and >= 0, got {self.schedule_power}")
         if self.rir_max_order < 0:
             # no image source would be kept: every RIR all zeros, every reverb silence
             raise ConfigError(f"rir_max_order must be >= 0, got {self.rir_max_order}")

@@ -131,31 +131,32 @@ def _fit_length(samples: np.ndarray, n: int, offset: int = 0) -> np.ndarray:
     return samples[idx]
 
 
-def _mix_at_power_ratio(x: np.ndarray, other: np.ndarray, ratio_db: float):
-    """Scale `other` to sit ratio_db below `x` in power, return (sum, clamped)."""
+def _mix_below(wave: Waveform, other: Waveform, ratio_db: float, what: str) -> Waveform | None:
+    """`wave` plus `other`, looped or cropped to its length and scaled to sit
+    ratio_db below it in power; the sum is peak-clamped to [-1, 1]. None when
+    `other` has zero power over that length."""
+    if wave.sample_rate != other.sample_rate:
+        raise SampleRateMismatch(f"wave and {what} sample rates differ")
+    x = np.asarray(wave.samples, dtype=np.float64)
+    o = _fit_length(np.asarray(other.samples, dtype=np.float64), len(x))
+    p_o = float(np.mean(o**2))
+    if p_o == 0.0:
+        return None
     p_x = float(np.mean(x**2))
-    p_o = float(np.mean(other**2))
     gain = np.sqrt(p_x / (p_o * 10.0 ** (ratio_db / 10.0))) if p_x > 0.0 else 0.0
-    mixed = x + gain * other
-    peak = np.max(np.abs(mixed))
-    clamped = bool(peak > 1.0)
-    if clamped:
+    mixed = x + gain * o
+    if np.max(np.abs(mixed)) > 1.0:
         np.clip(mixed, -1.0, 1.0, out=mixed)
-    return mixed, clamped
+        log.info("mixing %s: sum exceeded full scale, clamped", what)
+    return Waveform(mixed.astype(np.float32), wave.sample_rate)
 
 
 def mix_noise(wave: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Add noise at the requested SNR; the sum is peak-clamped to [-1, 1]."""
-    if wave.sample_rate != noise.sample_rate:
-        raise SampleRateMismatch("wave and noise sample rates differ")
-    x = np.asarray(wave.samples, dtype=np.float64)
-    n = _fit_length(np.asarray(noise.samples, dtype=np.float64), len(x))
-    if float(np.mean(n**2)) == 0.0:
+    mixed = _mix_below(wave, noise, snr_db, "noise")
+    if mixed is None:
         raise SilentNoise("noise has zero power")
-    mixed, clamped = _mix_at_power_ratio(x, n, snr_db)
-    if clamped:
-        log.info("mix_noise: sum exceeded full scale, clamped")
-    return Waveform(mixed.astype(np.float32), wave.sample_rate)
+    return mixed
 
 
 @lru_cache(maxsize=64)
@@ -210,16 +211,10 @@ def apply_clip(wave: Waveform, saturation: float) -> Waveform:
 
 def apply_overlap(wave: Waveform, other: Waveform, gain_db: float) -> Waveform:
     """Add background speech gain_db below the main speaker, peak-clamped."""
-    if wave.sample_rate != other.sample_rate:
-        raise SampleRateMismatch("wave and overlap sample rates differ")
-    x = np.asarray(wave.samples, dtype=np.float64)
-    o = _fit_length(np.asarray(other.samples, dtype=np.float64), len(x))
-    if float(np.mean(o**2)) == 0.0:
+    mixed = _mix_below(wave, other, gain_db, "overlap speech")
+    if mixed is None:
         raise SilentOverlap("overlap speech has zero power")
-    mixed, clamped = _mix_at_power_ratio(x, o, gain_db)
-    if clamped:
-        log.info("apply_overlap: sum exceeded full scale, clamped")
-    return Waveform(mixed.astype(np.float32), wave.sample_rate)
+    return mixed
 
 
 def _check_pools(cfg: DistortionConfig, speaker_id: str | None) -> None:

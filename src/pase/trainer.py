@@ -121,18 +121,13 @@ def load_model(path: str) -> tuple[Model, dict[str, str]]:
     except ConfigError as exc:
         raise MalformedContainer(f"{path}: {exc}") from None
     model = build_model(enc_cfg, np.random.default_rng(0))
-    for p in model.parameters():
-        stored = arrays.get(p.name)
+    for name, array in model.arrays().items():  # copied in, so none is a view of the file
+        stored = arrays.get(name)
         if stored is None:
-            raise MalformedContainer(f"{path}: missing parameter {p.name}")
-        if stored.shape != p.data.shape:
-            raise MalformedContainer(
-                f"{path}: parameter {p.name} has shape {stored.shape}, not {p.data.shape}"
-            )
-        p.data = stored.copy()  # an aligned array of its own, not a view of the file
-    for name, buf in model.encoder.buffers().items():
-        if name in arrays:
-            buf[...] = arrays[name]
+            raise MalformedContainer(f"{path}: missing array {name}")
+        if stored.shape != array.shape:
+            raise MalformedContainer(f"{path}: {name} has shape {stored.shape}, not {array.shape}")
+        array[...] = stored
     if any(k.startswith(STATS_PREFIX) for k in arrays):
         try:
             model.standardizer.load_state(arrays)
@@ -207,11 +202,67 @@ def _distinct_draw(entry: CorpusEntry, first: Chunk, rng) -> Chunk:
     return second  # utterance too short for distinct draws; overlapping fallback
 
 
-def _write_nonfinite_dump(checkpoint_dir: str, dump: dict) -> str:
+def _write_nonfinite_dump(checkpoint_dir: str, step: int, losses: dict[str, Tensor],
+                          utterances: list[str], distortions: list, **extra) -> str:
     """The diagnostic file of a step that went non-finite; returns its path."""
-    path = os.path.join(checkpoint_dir, f"nonfinite_step{dump['step']}.json")
+    dump = {"step": step, "losses": {k: float(v.data) for k, v in losses.items()},
+            "utterances": utterances, "distortions": distortions, **extra}
+    path = os.path.join(checkpoint_dir, f"nonfinite_step{step}.json")
     write_file(path, [json.dumps(dump, indent=2).encode("utf-8")])
     return path
+
+
+def train_step(model: Model, entries: list[CorpusEntry], dist: DistortionConfig, rng,
+               adam: Adam, lr: float, cfg: TrainConfig, step: int) -> dict[str, float]:
+    """One optimizer step on one batch: two chunks of each entry are drawn and
+    contaminated, both views encoded, and the workers' average loss against the
+    clean first chunks backpropagated. Returns each worker's loss, then the
+    total. A non-finite loss or gradient raises before the update, with a dump."""
+    chunks_a, chunks_b, dist_a = [], [], []
+    for entry in entries:
+        a = draw_chunk(entry.wave, rng, entry.utterance_id)
+        b = _distinct_draw(entry, a, rng)
+        xa, log_a = contaminate(a, dist, rng, speaker_id=entry.speaker_id)
+        xb, _ = contaminate(b, dist, rng, speaker_id=entry.speaker_id)
+        chunks_a.append((a, xa))
+        chunks_b.append((b, xb))
+        dist_a.append(log_a)
+
+    xa = Tensor(np.stack([x.samples for _, x in chunks_a])[:, None, :])
+    xb = Tensor(np.stack([x.samples for _, x in chunks_b])[:, None, :])
+    emb_a = model.encoder.forward(xa, training=True)
+    emb_b = model.encoder.forward(xb, training=True)
+
+    utt_ids = [e.utterance_id for e in entries]
+    lim = W.lim_sample(utt_ids, emb_a.shape[2], rng, per_element=cfg.lim_triples_per_chunk)
+    gim = W.gim_sample(
+        utt_ids,
+        [c.offset_samples for c, _ in chunks_b],
+        [c.offset_samples for c, _ in chunks_a],
+        rng,
+        per_element=cfg.gim_negatives_per_chunk,
+    )
+    clean = [c.samples for c, _ in chunks_a]
+    losses = model.workers.losses(emb_a, emb_b, clean, model.standardizer, lim, gim)
+
+    total = W.total_loss(list(losses.values()))
+    if not np.isfinite(total.data):
+        dump_path = _write_nonfinite_dump(cfg.checkpoint_dir, step, losses, utt_ids, dist_a)
+        raise NonFiniteLoss(f"step {step}: non-finite total loss, see {dump_path}")
+
+    adam.zero_grad()
+    total.backward()
+    bad = [p.name for p in adam.params
+           if p.grad is not None and not np.isfinite(p.grad).all()]
+    if bad:
+        dump_path = _write_nonfinite_dump(cfg.checkpoint_dir, step, losses, utt_ids, dist_a,
+                                          parameters=bad)
+        raise NonFiniteGradient(
+            f"step {step}: non-finite gradient of {len(bad)} parameters"
+            f" (first {bad[0]}), see {dump_path}"
+        )
+    adam.step(lr)
+    return {**{k: float(v.data) for k, v in losses.items()}, "total": float(total.data)}
 
 
 def pretrain(cfg: TrainConfig) -> str:
@@ -242,90 +293,27 @@ def pretrain(cfg: TrainConfig) -> str:
     csv_path = os.path.join(cfg.checkpoint_dir, "losses.csv")
     with open(csv_path, "w", encoding="utf-8") as csv:
         csv.write("step,worker,loss\n")
-
-        regression_specs = [s for s in model.workers.roster if s.kind == "regression"]
         step = 0
-        final_path = os.path.join(cfg.checkpoint_dir, "final.pckp")
         for epoch in range(1, cfg.epochs + 1):
             for batch in _epoch_batches(len(corpus), cfg.batch_size, rng):
                 entries = [corpus[i] for i in batch]
                 if len({e.utterance_id for e in entries}) < 2:
                     entries[-1] = corpus[(batch[-1] + 1) % len(corpus)]
                 step += 1
-
-                chunks_a, chunks_b, dist_a = [], [], []
-                for entry in entries:
-                    a = draw_chunk(entry.wave, rng, entry.utterance_id)
-                    b = _distinct_draw(entry, a, rng)
-                    xa, log_a = contaminate(a, dist, rng, speaker_id=entry.speaker_id)
-                    xb, _ = contaminate(b, dist, rng, speaker_id=entry.speaker_id)
-                    chunks_a.append((a, xa))
-                    chunks_b.append((b, xb))
-                    dist_a.append(log_a)
-
-                xa = Tensor(np.stack([x.samples for _, x in chunks_a])[:, None, :])
-                xb = Tensor(np.stack([x.samples for _, x in chunks_b])[:, None, :])
-                emb_a = model.encoder.forward(xa, training=True)
-                emb_b = model.encoder.forward(xb, training=True)
-
-                utt_ids = [e.utterance_id for e in entries]
-                clean = [c.samples for c, _ in chunks_a]
-                losses: dict[str, Tensor] = {}
-                for spec in regression_specs:
-                    losses[spec.name] = W.regression_worker_loss(
-                        emb_a, clean, spec, model.workers.heads[spec.name],
-                        model.standardizer, sample_rate,
-                    )
-                lim_idx = W.lim_sample(
-                    utt_ids, emb_a.shape[2], rng, per_element=cfg.lim_triples_per_chunk
-                )
-                losses["lim"] = W.lim_worker_loss(emb_a, lim_idx, model.workers.heads["lim"])
-                gim_idx = W.gim_sample(
-                    utt_ids,
-                    [c.offset_samples for c, _ in chunks_b],
-                    [c.offset_samples for c, _ in chunks_a],
-                    rng,
-                    per_element=cfg.gim_negatives_per_chunk,
-                )
-                losses["gim"] = W.gim_worker_loss(
-                    emb_a, emb_b, gim_idx, model.workers.heads["gim"]
-                )
-
-                total = W.total_loss(list(losses.values()))
-                dump = {
-                    "step": step,
-                    "losses": {k: float(v.data) for k, v in losses.items()},
-                    "utterances": utt_ids,
-                    "distortions": dist_a,
-                }
-                if not np.isfinite(total.data):
-                    dump_path = _write_nonfinite_dump(cfg.checkpoint_dir, dump)
-                    raise NonFiniteLoss(f"step {step}: non-finite total loss, see {dump_path}")
-
-                adam.zero_grad()
-                total.backward()
-                bad = [p.name for p in adam.params
-                       if p.grad is not None and not np.isfinite(p.grad).all()]
-                if bad:
-                    dump_path = _write_nonfinite_dump(cfg.checkpoint_dir, {**dump, "parameters": bad})
-                    raise NonFiniteGradient(
-                        f"step {step}: non-finite gradient of {len(bad)} parameters"
-                        f" (first {bad[0]}), see {dump_path}"
-                    )
-                adam.step(schedule.lr(step - 1))
-
+                losses = train_step(model, entries, dist, rng, adam, schedule.lr(step - 1),
+                                    cfg, step)
                 if step == 1 or step == total_steps or step % cfg.log_interval == 0:
                     for name, value in losses.items():
-                        csv.write(f"{step},{name},{float(value.data):.8e}\n")
-                    csv.write(f"{step},total,{float(total.data):.8e}\n")
+                        csv.write(f"{step},{name},{value:.8e}\n")
                     csv.flush()
-                    log.info("step %d/%d total %.4f", step, total_steps, float(total.data))
+                    log.info("step %d/%d total %.4f", step, total_steps, losses["total"])
 
             save_model(
                 os.path.join(cfg.checkpoint_dir, f"epoch_{epoch:03d}.pckp"),
                 model, {"step": step, "epoch": epoch}, adam=adam,
             )
 
+    final_path = os.path.join(cfg.checkpoint_dir, "final.pckp")
     save_model(final_path, model, {"step": step, "epoch": cfg.epochs})
     return final_path
 

@@ -379,3 +379,18 @@ class WorkerSet:
         for spec in self.roster:
             out.extend(self.heads[spec.name].parameters())
         return out
+
+    def losses(self, emb_a: Tensor, emb_b: Tensor, clean: list[np.ndarray],
+               standardizer: TargetStandardizer, lim: LimSample, gim: GimSample) -> dict[str, Tensor]:
+        """Every worker's loss for one step, in roster order (regression, lim,
+        gim), from the given samples: nothing here draws a random number."""
+        out = {}
+        for spec in self.roster:
+            head = self.heads[spec.name]
+            if spec.kind == "lim":
+                out[spec.name] = lim_worker_loss(emb_a, lim, head)
+            elif spec.kind == "gim":
+                out[spec.name] = gim_worker_loss(emb_a, emb_b, gim, head)
+            else:
+                out[spec.name] = regression_worker_loss(emb_a, clean, spec, head, standardizer)
+        return out

@@ -229,17 +229,7 @@ def _full_graph_builder(rng):
     def build():
         emb_a = enc.forward(Tensor(x_a.copy()), training=True)
         emb_b = enc.forward(Tensor(x_b.copy()), training=True)
-        losses = []
-        for spec in workers.roster:
-            if spec.kind == "regression":
-                losses.append(
-                    W.regression_worker_loss(
-                        emb_a, clean, spec, workers.heads[spec.name], std, SR
-                    )
-                )
-        losses.append(W.lim_worker_loss(emb_a, lim_idx, workers.heads["lim"]))
-        losses.append(W.gim_worker_loss(emb_a, emb_b, gim_idx, workers.heads["gim"]))
-        return W.total_loss(losses)
+        return W.total_loss(list(workers.losses(emb_a, emb_b, clean, std, lim_idx, gim_idx).values()))
 
     return build, enc.parameters() + workers.parameters()
 

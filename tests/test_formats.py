@@ -364,6 +364,11 @@ def test_config_batch_size_one_is_single_utterance_error(tmp_path):
         ("lim_triples_per_chunk", 0),  # NonFiniteLoss at step 1
         ("gim_negatives_per_chunk", 0),  # NonFiniteLoss at step 1
         ("rir_max_order", -1),  # every RIR all zeros, every reverberated chunk silence
+        ("lr0", 0.0),  # trains for every step and changes no parameter
+        ("lr0", -1e-3),  # gradient ascent, and nothing raises
+        ("lr0", float("nan")),  # NonFiniteLoss at step 2
+        ("schedule_power", -1.0),  # the rate rises to lr0 * total_steps at the last step
+        ("schedule_power", float("nan")),  # NonFiniteLoss at step 3
     ],
 )
 def test_config_value_that_fails_late_is_config_error_at_startup(tmp_path, name, value):

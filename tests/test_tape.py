@@ -253,17 +253,12 @@ def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
     std = W.TargetStandardizer(sample_rate=sr)
     std.fit(clean)
 
-    # one step's total loss, built as `pretrain` builds it
+    # one step's total loss, built as `train_step` builds it
     emb_a, emb_b = (encoder.forward(Tensor(x), training=True) for x in views)
-    regression = [s for s in workers.roster if s.kind == "regression"]
-    losses = [W.regression_worker_loss(emb_a, clean, s, workers.heads[s.name], std, sr)
-              for s in regression]
     utts = ["a", "b"]
     lim = W.lim_sample(utts, emb_a.shape[2], rng, per_element=3)
-    losses.append(W.lim_worker_loss(emb_a, lim, workers.heads["lim"]))
     gim = W.gim_sample(utts, [0, 1], [2, 3], rng)
-    losses.append(W.gim_worker_loss(emb_a, emb_b, gim, workers.heads["gim"]))
-    total = W.total_loss(losses)
+    total = W.total_loss(list(workers.losses(emb_a, emb_b, clean, std, lim, gim).values()))
 
     # the same forward recomputed with the old op pairs: batch norm output
     # and block output of every block, hidden layer and prediction of
@@ -284,6 +279,7 @@ def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
                 bn_outputs.append(y)
                 block_outputs.append(out)
                 h, conv = Tensor(out), None
+    regression = [s for s in workers.roster if s.kind == "regression"]
     with ad.no_grad():
         for spec in regression:
             head = workers.heads[spec.name]

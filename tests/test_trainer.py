@@ -117,14 +117,21 @@ def test_loaded_model_owns_aligned_arrays(trained):
         assert array.flags.owndata and array.flags.aligned
 
 
-@pytest.mark.parametrize("damage", ["drop", "reshape"])
-def test_load_model_names_a_missing_or_misshapen_parameter(trained, tmp_path, damage):
+PARAM, BUFFER = "encoder/block3/conv/w", "encoder/block3/bn/running_var"
+
+
+# a (1,) buffer used to be spread over every channel, and a (3,) one to raise a bare ValueError
+@pytest.mark.parametrize("name, damage", [
+    (PARAM, "drop"), (PARAM, "reshape"), (BUFFER, "drop"), (BUFFER, (1,)), (BUFFER, (3,)),
+], ids=["drop", "reshape", "buffer-drop", "buffer-broadcast", "buffer-short"])
+def test_load_model_names_a_missing_or_misshapen_parameter(trained, tmp_path, name, damage):
     arrays, meta = load_checkpoint(trained["final"])
-    name = "encoder/block3/conv/w"
     if damage == "drop":
         del arrays[name]
-    else:
+    elif damage == "reshape":
         arrays[name] = arrays[name].reshape(-1)
+    else:
+        arrays[name] = np.full(damage, 7.0, dtype=np.float32)
     path = str(tmp_path / "damaged.pckp")
     save_checkpoint(path, arrays, meta)
     with pytest.raises(MalformedContainer, match=name):
