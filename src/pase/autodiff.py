@@ -44,6 +44,12 @@ BN_EPS = 1e-5
 _grad_enabled = True
 
 
+def _bn_invstd(var: np.ndarray) -> np.ndarray:
+    """Batch norm's 1/sqrt(var + eps). Eval-mode folds into a conv compute
+    the scale with this expression too, so they round it as the op does."""
+    return 1.0 / np.sqrt(var + BN_EPS)
+
+
 def grad_enabled() -> bool:
     """Whether ops record the graph now (False inside `no_grad`)."""
     return _grad_enabled
@@ -499,7 +505,7 @@ def batchnorm_prelu(
         mu = running_mean.copy()
         var = running_var
 
-    invstd = 1.0 / np.sqrt(var + BN_EPS)
+    invstd = _bn_invstd(var)
     a = alpha.data.reshape(1, C, 1)
 
     def normalized():

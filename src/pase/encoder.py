@@ -1,8 +1,12 @@
 """Waveform encoder: learnable sinc band-pass front end, seven conv blocks
 with batch norm + PReLU, projected skip connections summed into the output,
 and a single causal QRNN layer, producing 256-dim embeddings every 10 ms.
-Block0's conv belongs to the front end (`SincLayer`), which runs it folded
-into the sinc filters when no gradient is recorded.
+Block0's conv belongs to the front end (`SincLayer`).
+
+`Encoder.frozen()` builds the inference form once: the front end's two convs
+composed into one, batch norm folded into each block and the QRNN gates as
+one conv. Under `no_grad` in eval mode every layer's `forward` builds its
+part of that form and runs it, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ class SincLayer:
     only batch norm and PReLU. Block0's weights keep their checkpoint names,
     `<prefix>/block0/conv/w` and `/b`. While the graph is recorded the two
     convs run one after the other; under `no_grad` they run as one conv of
-    the waveform (see `_folded`).
+    the waveform (see `FrozenFrontEnd`).
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, prefix: str):
@@ -190,30 +194,47 @@ class SincLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, 1, T) waveform -> block0's conv output, before batch norm."""
-        sinc = self.kernels()
         if not ad.grad_enabled():
-            return self._folded(x, sinc)
-        h = ad.conv1d(x, sinc, stride=self.cfg.sinc_stride, padding=self.pad)
+            return self.frozen()(x)
+        h = ad.conv1d(x, self.kernels(), stride=self.cfg.sinc_stride, padding=self.pad)
         return ad.conv1d(h, self.w, self.b, stride=self.conv_stride, padding=self.conv_pad)
 
-    def _folded(self, x: Tensor, sinc: Tensor) -> Tensor:
-        """Both convs as one: W_eff[o, s0*j + i] = sum_c w[o, c, j] * sinc[c, i],
-        composed in float64, with stride s0*s1 and padding p_sinc + s0*p0.
+    def frozen(self) -> "FrozenFrontEnd":
+        return FrozenFrontEnd(self)
 
-        Block0 zero-pads the sinc output, while the folded conv sees the
-        sinc of the zero-padded waveform there; the frames whose window
-        reaches past either end of the sinc output are recomputed with the
-        two convs, over only the sinc outputs they read.
-        """
-        s0, s1 = self.cfg.sinc_stride, self.conv_stride
-        k_sinc, k0 = sinc.shape[2], self.w.shape[2]
-        taps = sinc.data[:, 0, :].astype(np.float64)
+    def parameters(self) -> list[Parameter]:
+        return [self.p_low, self.p_band, self.w, self.b]
+
+
+class FrozenFrontEnd:
+    """A snapshot of the front end's weights with both convs composed into
+    one: W_eff[o, s0*j + i] = sum_c w[o, c, j] * sinc[c, i], composed in
+    float64, run with stride s0*s1 and padding p_sinc + s0*p0.
+
+    Block0 zero-pads the sinc output, while the composed conv sees the sinc
+    of the zero-padded waveform there; the frames whose window reaches past
+    either end of the sinc output are recomputed with the two convs, over
+    only the sinc outputs they read.
+    """
+
+    def __init__(self, layer: SincLayer):
+        self.s0, self.s1 = layer.cfg.sinc_stride, layer.conv_stride
+        self.pad, self.conv_pad = layer.pad, layer.conv_pad
+        with ad.no_grad():
+            self.sinc = layer.kernels()
+        self.w, self.b = _snapshot(layer.w), _snapshot(layer.b)
+        s0, k_sinc, k0 = self.s0, self.sinc.shape[2], self.w.shape[2]
+        taps = self.sinc.data[:, 0, :].astype(np.float64)
         w = self.w.data.astype(np.float64)
         w_eff = np.zeros((self.w.shape[0], 1, k_sinc + s0 * (k0 - 1)))
         for j in range(k0):
             w_eff[:, 0, s0 * j : s0 * j + k_sinc] += w[:, :, j] @ taps
-        dtype = np.result_type(sinc.data, self.w.data)
-        out = ad.conv1d(x, Tensor(w_eff.astype(dtype)), self.b, stride=s0 * s1,
+        self.w_eff = Tensor(w_eff.astype(np.result_type(self.sinc.data, self.w.data)))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        s0, s1 = self.s0, self.s1
+        k_sinc, k0 = self.sinc.shape[2], self.w.shape[2]
+        out = ad.conv1d(x, self.w_eff, self.b, stride=s0 * s1,
                         padding=self.pad + s0 * self.conv_pad)
         t_sinc = (x.shape[2] + 2 * self.pad - k_sinc) // s0 + 1
         t_out = out.shape[2]
@@ -221,15 +242,15 @@ class SincLayer:
         last = max(first, -(-(t_sinc - k0 + 1 + self.conv_pad) // s1))  # [last, t_out) the right
         for lo, hi in ((0, first), (last, t_out)):
             if lo < hi:
-                out.data[:, :, lo:hi] = self._two_conv_frames(x, sinc, t_sinc, lo, hi)
+                out.data[:, :, lo:hi] = self._two_conv_frames(x, t_sinc, lo, hi)
         return out
 
-    def _two_conv_frames(self, x: Tensor, sinc: Tensor, t_sinc: int, lo: int, hi: int):
+    def _two_conv_frames(self, x: Tensor, t_sinc: int, lo: int, hi: int):
         """Block0's output frames lo..hi-1 by the two convs, computing only
         the sinc outputs n0..n1-1 they read (block0's zero padding outside
         0..t_sinc-1)."""
-        s0, s1 = self.cfg.sinc_stride, self.conv_stride
-        k_sinc, k0, t_in = sinc.shape[2], self.w.shape[2], x.shape[2]
+        s0, s1 = self.s0, self.s1
+        k_sinc, k0, t_in = self.sinc.shape[2], self.w.shape[2], x.shape[2]
         n0 = s1 * lo - self.conv_pad
         n1 = s1 * (hi - 1) + k0 - self.conv_pad
         a, b = max(n0, 0), min(n1, t_sinc)
@@ -237,12 +258,27 @@ class SincLayer:
         stop = s0 * (b - 1) + k_sinc - self.pad
         seg = np.pad(x.data[:, :, max(start, 0) : min(stop, t_in)],
                      ((0, 0), (0, 0), (max(0, -start), max(0, stop - t_in))))
-        h = ad.conv1d(Tensor(seg), sinc, stride=s0).data
+        h = ad.conv1d(Tensor(seg), self.sinc, stride=s0).data
         h = np.pad(h, ((0, 0), (0, 0), (a - n0, n1 - b)))
         return ad.conv1d(Tensor(h), self.w, self.b, stride=s1).data
 
-    def parameters(self) -> list[Parameter]:
-        return [self.p_low, self.p_band, self.w, self.b]
+
+def _snapshot(p: Tensor) -> Tensor:
+    """A constant copy of p, which later in-place updates of p do not reach."""
+    return Tensor(p.data.copy())
+
+
+def _prelu_(y: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """PReLU in place on (B, C, T) y with a (1, C, 1) slope; returns y.
+
+    max(y, 0) + alpha * min(y, 0) is alpha * y or y exactly (a zero sign
+    aside) and has no branch; a masked multiply runs several times slower
+    on activations that are about half negative."""
+    neg = np.minimum(y, 0)
+    np.maximum(y, 0, out=y)
+    neg *= alpha
+    y += neg
+    return y
 
 
 def _he_conv(rng, out_ch, in_ch, kernel):
@@ -251,7 +287,10 @@ def _he_conv(rng, out_ch, in_ch, kernel):
 
 
 class NormPReLU:
-    """batch norm -> PReLU; block0 is one, after the front end's conv."""
+    """batch norm -> PReLU; block0 is one, after the front end's conv.
+
+    Under `no_grad` in eval mode a block runs its `frozen()` form, built for
+    the call, so it gives the bits a frozen encoder gives."""
 
     def __init__(self, channels, prefix):
         self.prefix = prefix
@@ -261,10 +300,24 @@ class NormPReLU:
         self.running_var = np.ones(channels, dtype=np.float32)
         self.alpha = Parameter(f"{prefix}/prelu/alpha", np.full(channels, 0.25, dtype=np.float32))
 
-    def forward(self, h: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool) -> Tensor:
+        if not training and not ad.grad_enabled():
+            return self.frozen()(x)
         return ad.batchnorm_prelu(
-            h, self.gamma, self.beta, self.alpha, self.running_mean, self.running_var, training
+            self._conv(x), self.gamma, self.beta, self.alpha,
+            self.running_mean, self.running_var, training,
         )
+
+    def _conv(self, x: Tensor) -> Tensor:
+        return x
+
+    def _scale(self) -> np.ndarray:
+        """Eval-mode batch norm's per-channel scale, gamma / sqrt(var + eps)."""
+        return self.gamma.data * ad._bn_invstd(self.running_var)
+
+    def frozen(self) -> "FrozenNorm":
+        scale = self._scale()
+        return FrozenNorm(scale, self.beta.data - self.running_mean * scale, self.alpha.data)
 
     def parameters(self):
         return [self.gamma, self.beta, self.alpha]
@@ -274,6 +327,20 @@ class NormPReLU:
             f"{self.prefix}/bn/running_mean": self.running_mean,
             f"{self.prefix}/bn/running_var": self.running_var,
         }
+
+
+class FrozenNorm:
+    """Eval-mode batch norm as one per-channel scale and shift, then PReLU."""
+
+    def __init__(self, scale: np.ndarray, shift: np.ndarray, alpha: np.ndarray):
+        self.scale = scale.reshape(1, -1, 1)
+        self.shift = shift.reshape(1, -1, 1)
+        self.alpha = alpha.reshape(1, -1, 1).copy()
+
+    def __call__(self, h: Tensor) -> Tensor:
+        y = h.data * self.scale
+        y += self.shift
+        return Tensor(_prelu_(y, self.alpha))
 
 
 class ConvBlock(NormPReLU):
@@ -286,13 +353,33 @@ class ConvBlock(NormPReLU):
         self.w = Parameter(f"{prefix}/conv/w", _he_conv(rng, out_ch, in_ch, kernel))
         self.b = Parameter(f"{prefix}/conv/b", np.zeros(out_ch, dtype=np.float32))
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        pad = (self.kernel - 1) // 2
-        h = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=pad)
-        return super().forward(h, training)
+    def _conv(self, x: Tensor) -> Tensor:
+        return ad.conv1d(x, self.w, self.b, stride=self.stride, padding=(self.kernel - 1) // 2)
+
+    def frozen(self) -> "FrozenConvBlock":
+        """Batch norm folded into the conv: w' = w * scale and
+        b' = (b - running_mean) * scale + beta."""
+        scale = self._scale()
+        w = self.w.data * scale[:, None, None]
+        b = (self.b.data - self.running_mean) * scale + self.beta.data
+        return FrozenConvBlock(w, b, self.alpha.data, self.stride, (self.kernel - 1) // 2)
 
     def parameters(self):
         return [self.w, self.b] + super().parameters()
+
+
+class FrozenConvBlock:
+    """One conv with batch norm folded in, then PReLU in place."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, alpha: np.ndarray, stride: int, pad: int):
+        self.w, self.b = Tensor(w), Tensor(b)
+        self.alpha = alpha.reshape(1, -1, 1).copy()
+        self.stride, self.pad = stride, pad
+
+    def __call__(self, x: Tensor) -> Tensor:
+        y = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=self.pad)
+        _prelu_(y.data, self.alpha)
+        return y
 
 
 class SkipAggregate:
@@ -315,19 +402,24 @@ class SkipAggregate:
             self.projections.append((w, b))
 
     def forward(self, block_outputs: list[Tensor], strides: list[int], t_out: int) -> Tensor:
-        total = None
-        for (w, b), h, sel in zip(self.projections, block_outputs, strides):
-            frames = -(-h.shape[2] // sel)  # len(range(0, T, sel))
-            if frames < t_out:
-                raise ShapeMismatch(f"skip path gives {frames} frames, need {t_out}")
-            if h.shape[2] != t_out:  # a path already at t_out frames passes through
-                h = ad.index(h, np.s_[:, :, : sel * t_out : sel])
-            proj = ad.conv1d(h, w, b)
-            total = proj if total is None else ad.add(total, proj)
-        return total
+        return _project_and_sum(self.projections, block_outputs, strides, t_out)
 
     def parameters(self):
         return [p for pair in self.projections for p in pair]
+
+
+def _project_and_sum(projections: list, block_outputs: list[Tensor], strides: list[int],
+                     t_out: int) -> Tensor:
+    total = None
+    for (w, b), h, sel in zip(projections, block_outputs, strides):
+        frames = -(-h.shape[2] // sel)  # len(range(0, T, sel))
+        if frames < t_out:
+            raise ShapeMismatch(f"skip path gives {frames} frames, need {t_out}")
+        if h.shape[2] != t_out:  # a path already at t_out frames passes through
+            h = ad.index(h, np.s_[:, :, : sel * t_out : sel])
+        proj = ad.conv1d(h, w, b)
+        total = proj if total is None else ad.add(total, proj)
+    return total
 
 
 class QRNNLayer:
@@ -348,8 +440,18 @@ class QRNNLayer:
         self.w_o, self.b_o = w("o"), Parameter(f"{prefix}/o/b", np.zeros(hidden, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
+        if not ad.grad_enabled():
+            return self.frozen()(x)
         z, f, o = self.gates(x)
         return ad.mul(o, ad.fo_pool(z, f))
+
+    def frozen(self) -> "FrozenQRNN":
+        """The z, f and o gates as one conv with 3 * hidden outputs."""
+        return FrozenQRNN(
+            np.concatenate([self.w_z.data, self.w_f.data, self.w_o.data]),
+            np.concatenate([self.b_z.data, self.b_f.data, self.b_o.data]),
+            self.kernel,
+        )
 
     def gates(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         xp = ad.pad1d(x, self.kernel - 1, 0)  # causal: gates at t see x_{<=t}
@@ -361,6 +463,22 @@ class QRNNLayer:
 
     def parameters(self):
         return [self.w_z, self.b_z, self.w_f, self.b_f, self.w_o, self.b_o]
+
+
+class FrozenQRNN:
+    """The QRNN layer with its three gate convs run as one."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, kernel: int):
+        self.w, self.b, self.kernel = Tensor(w), Tensor(b), kernel
+
+    def __call__(self, x: Tensor) -> Tensor:
+        xp = ad.pad1d(x, self.kernel - 1, 0)  # causal: gates at t see x_{<=t}
+        gates = ad.conv1d(xp, self.w, self.b).data
+        hidden = gates.shape[1] // 3
+        z = ad.tanh(Tensor(gates[:, :hidden]))
+        fo = ad.sigmoid(Tensor(gates[:, hidden:])).data
+        c = ad.fo_pool(z, Tensor(fo[:, :hidden])).data
+        return Tensor(fo[:, hidden:] * c)
 
 
 class Encoder:
@@ -390,12 +508,11 @@ class Encoder:
         self.skip_selects = [cfg.hop_samples // s for s in cum_strides]
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        """(B, 1, T) waveform batch -> (B, emb_dim, T // hop) embeddings."""
-        hop = self.cfg.hop_samples
-        t_in = x.shape[2]
-        t_out = t_in // hop
-        if t_out < 1:
-            raise TooShort(f"input of {t_in} samples is under one hop ({hop})")
+        """(B, 1, T) waveform batch -> (B, emb_dim, T // hop) embeddings.
+
+        Under `no_grad` in eval mode each layer runs its `frozen()` form,
+        built for the call; with grad on every layer runs its training ops."""
+        t_out = _frame_count(self.cfg, x)
         h = self.sinc.forward(x)
         outs = []
         for block in self.blocks:
@@ -406,11 +523,14 @@ class Encoder:
         return ad.conv1d(q, self.emb_w, self.emb_b)
 
     def encode(self, samples: np.ndarray) -> np.ndarray:
-        """Eval-mode embedding of one waveform: (T,) -> (T // hop, emb_dim)."""
-        with ad.no_grad():
-            x = Tensor(np.asarray(samples, dtype=np.float32)[None, None, :])
-            out = self.forward(x, training=False)
-        return out.data[0].T.copy()
+        """Eval-mode embedding of one waveform: (T,) -> (T // hop, emb_dim),
+        from a frozen form built for this call, so it reads the current
+        weights."""
+        return self.frozen().encode(samples)
+
+    def frozen(self) -> "FrozenEncoder":
+        """The inference form of the current weights (see `FrozenEncoder`)."""
+        return FrozenEncoder(self)
 
     def parameters(self) -> list[Parameter]:
         params = list(self.sinc.parameters())
@@ -426,3 +546,46 @@ class Encoder:
         for block in self.blocks:
             out.update(block.buffers())
         return out
+
+
+def _frame_count(cfg: EncoderConfig, x: Tensor) -> int:
+    """Embedding frames of a (B, 1, T) input: T // hop, at least one."""
+    hop, t_in = cfg.hop_samples, x.shape[2]
+    if t_in < hop:
+        raise TooShort(f"input of {t_in} samples is under one hop ({hop})")
+    return t_in // hop
+
+
+class FrozenEncoder:
+    """The encoder for inference, with every array that depends only on the
+    weights built once: the sinc taps and the composed front-end kernel,
+    block0's batch-norm scale and shift, blocks 1-6 with batch norm folded
+    into their convs, the QRNN gates as one conv, and copies of the skip
+    projections and the embedding conv.
+
+    It is a snapshot: an update of the encoder's weights after
+    `Encoder.frozen()` does not reach it. Its output has the bits of
+    `Encoder.encode` and of the encoder's layers run one by one under
+    `no_grad` in eval mode, which build the same forms per call.
+    """
+
+    def __init__(self, encoder: Encoder):
+        self.cfg = encoder.cfg
+        self.front = encoder.sinc.frozen()
+        self.blocks = [block.frozen() for block in encoder.blocks]
+        self.skip = [(_snapshot(w), _snapshot(b)) for w, b in encoder.skip.projections]
+        self.skip_selects = encoder.skip_selects
+        self.qrnn = encoder.qrnn.frozen()
+        self.emb_w, self.emb_b = _snapshot(encoder.emb_w), _snapshot(encoder.emb_b)
+
+    def encode(self, samples: np.ndarray) -> np.ndarray:
+        """Eval-mode embedding of one waveform: (T,) -> (T // hop, emb_dim)."""
+        x = Tensor(np.asarray(samples, dtype=np.float32)[None, None, :])
+        t_out = _frame_count(self.cfg, x)
+        h = self.front(x)
+        outs = []
+        for block in self.blocks:
+            h = block(h)
+            outs.append(h)
+        q = self.qrnn(_project_and_sum(self.skip, outs, self.skip_selects, t_out))
+        return ad.conv1d(q, self.emb_w, self.emb_b).data[0].T.copy()

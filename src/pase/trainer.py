@@ -28,7 +28,7 @@ from .autodiff import Tensor
 from .checkpoint import ADAM_PREFIX, STATS_PREFIX, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .distortion import DistortionConfig, _check_pools, contaminate
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig, FrozenEncoder
 from .errors import (
     ConfigError,
     DegenerateSplit,
@@ -114,13 +114,22 @@ def save_model(path: str, model: Model, extra_meta: dict | None = None,
     save_checkpoint(path, arrays, meta)
 
 
+class _NoDraws:
+    """Stands in for `build_model`'s Generator when every array is
+    overwritten next: each draw is zeros, so none costs a random number."""
+
+    @staticmethod
+    def standard_normal(shape) -> np.ndarray:
+        return np.zeros(shape)
+
+
 def load_model(path: str) -> tuple[Model, dict[str, str]]:
     arrays, meta = load_checkpoint(path)
     try:
         enc_cfg = EncoderConfig.from_meta(meta)
     except ConfigError as exc:
         raise MalformedContainer(f"{path}: {exc}") from None
-    model = build_model(enc_cfg, np.random.default_rng(0))
+    model = build_model(enc_cfg, _NoDraws())
     for name, array in model.arrays().items():  # copied in, so none is a view of the file
         stored = arrays.get(name)
         if stored is None:
@@ -321,8 +330,10 @@ def pretrain(cfg: TrainConfig) -> str:
 # --- frozen-feature extraction ------------------------------------------------------
 
 
-def encode_utterance(encoder: Encoder, samples: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Eval-mode embedding of a whole utterance via non-overlapping 2 s windows."""
+def encode_utterance(encoder: Encoder | FrozenEncoder, samples: np.ndarray,
+                     sample_rate: int) -> np.ndarray:
+    """Eval-mode embedding of a whole utterance via non-overlapping 2 s
+    windows; an `Encoder` and its `frozen()` form give the same bits."""
     hop = encoder.cfg.hop_samples
     want = chunk_samples(sample_rate)
     n = len(samples)
@@ -336,15 +347,22 @@ def encode_utterance(encoder: Encoder, samples: np.ndarray, sample_rate: int) ->
     return frames[: n // hop]  # drop frames that cover only padding
 
 
+def _frozen_encoder(checkpoint_path: str) -> FrozenEncoder:
+    """The checkpoint's encoder frozen for inference; the rest of the model
+    is dropped."""
+    model, _ = load_model(checkpoint_path)
+    return model.encoder.frozen()
+
+
 def extract(checkpoint_path: str, manifest_path: str, out_dir: str) -> list[str]:
     """Write one PFEA embedding file (+ JSON sidecar) per manifest utterance."""
-    model, meta = load_model(checkpoint_path)
-    sample_rate = model.encoder_cfg.sample_rate
+    encoder = _frozen_encoder(checkpoint_path)
+    sample_rate = encoder.cfg.sample_rate
     corpus = load_corpus(manifest_path, "clean_speech", sample_rate)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for entry in corpus:
-        emb = encode_utterance(model.encoder, entry.wave.samples, sample_rate)
+        emb = encode_utterance(encoder, entry.wave.samples, sample_rate)
         path = os.path.join(out_dir, entry.utterance_id + ".pfea")
         write_pfea(
             path,
@@ -374,8 +392,8 @@ PROBE_MIN_PER_CLASS = 4
 def probe(checkpoint: str, manifest: str, out_json: str = "", seed: int = 0) -> dict:
     """Train a linear classifier on mean-pooled frozen embeddings; the report
     is also written to `out_json` when that is given."""
-    model, _ = load_model(checkpoint)
-    sample_rate = model.encoder_cfg.sample_rate
+    encoder = _frozen_encoder(checkpoint)
+    sample_rate = encoder.cfg.sample_rate
     corpus = load_corpus(manifest, "clean_speech", sample_rate)
 
     classes = sorted({e.speaker_id for e in corpus})
@@ -389,7 +407,7 @@ def probe(checkpoint: str, manifest: str, out_json: str = "", seed: int = 0) -> 
             )
 
     feats = {
-        e.utterance_id: encode_utterance(model.encoder, e.wave.samples, sample_rate).mean(axis=0)
+        e.utterance_id: encode_utterance(encoder, e.wave.samples, sample_rate).mean(axis=0)
         for e in corpus
     }
     rng = np.random.default_rng(seed)

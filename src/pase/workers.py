@@ -108,9 +108,25 @@ def _add_block_sums(block: list[np.ndarray], sample_rate: int, sums: dict, squar
                 values = F.add_deltas(feats[kind][i])
             rows = _target_rows(kind, values.shape[0])
             sq = values * values
-            sums[kind] += np.concatenate([values[r].sum(axis=0) for r in rows])
-            squares[kind] += np.concatenate([sq[r].sum(axis=0) for r in rows])
+            sums[kind] += np.concatenate([_rows_sum(values, r) for r in rows])
+            squares[kind] += np.concatenate([_rows_sum(sq, r) for r in rows])
             counts[kind] += values.shape[0]
+
+
+def _rows_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """values[rows].sum(axis=0), bit for bit, with no copy when `rows` is a
+    run of consecutive frames followed by repeats of the last one (the
+    context blocks at offsets >= 0): the run is summed as a view, in frame
+    order, and the last frame is then added once per repeat."""
+    n = values.shape[0]
+    start = int(rows[0]) if n else 0
+    if not np.array_equal(rows, np.minimum(np.arange(start, start + n), n - 1)):
+        return values[rows].sum(axis=0)
+    run = values[start:]
+    total = run.sum(axis=0)
+    for _ in range(n - run.shape[0]):
+        total += values[-1]
+    return total
 
 
 class TargetStandardizer:

@@ -14,6 +14,7 @@ from pase.encoder import (
     sinc_bandpass_kernels,
 )
 from pase.errors import ConfigError, ShapeMismatch, TooShort
+from pase.optim import Adam
 
 from oracles import gradcheck, sequential_qrnn
 
@@ -115,6 +116,74 @@ def two_convs(front: SincLayer, x: Tensor) -> Tensor:
     """The front end as it trains: the sinc conv, then block0's conv."""
     h = ad.conv1d(x, front.kernels(), stride=front.cfg.sinc_stride, padding=front.pad)
     return ad.conv1d(h, front.w, front.b, stride=front.conv_stride, padding=front.conv_pad)
+
+
+def with_eval_state(enc: Encoder, rng) -> Encoder:
+    """Random running statistics, gamma, beta, PReLU slopes and conv biases,
+    in each array's own dtype, so no fold meets a trivial value."""
+    for p in enc.parameters():
+        if p.name.endswith(("/b", "/beta")):
+            p.data = rng.normal(0.0, 0.1, p.shape).astype(p.data.dtype)
+        elif p.name.endswith("/gamma"):
+            p.data = rng.uniform(0.5, 1.5, p.shape).astype(p.data.dtype)
+        elif p.name.endswith("/alpha"):
+            p.data = rng.uniform(0.05, 0.5, p.shape).astype(p.data.dtype)
+    for block in enc.blocks:
+        block.running_mean[:] = rng.normal(0.0, 0.1, block.running_mean.shape)
+        block.running_var[:] = rng.uniform(0.5, 2.0, block.running_var.shape)
+    return enc
+
+
+@pytest.mark.parametrize("config", [EncoderConfig, small_config])
+@pytest.mark.parametrize("n", [32000, 8005])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_frozen_layers_match_the_eval_ops_in_float64(config, n, batch):
+    rng = np.random.default_rng(n + batch)
+    enc = Encoder(config(), rng)
+    for p in enc.parameters():
+        p.data = p.data.astype(np.float64)
+    with_eval_state(enc, rng)
+    x = Tensor(rng.uniform(-0.5, 0.5, (batch, 1, n)))
+    with ad.no_grad():
+        frozen = enc.forward(x, training=False).data
+    unfused = enc.forward(x, training=False)  # grad on: batch norm, PReLU and gates op by op
+    assert unfused.requires_grad
+    assert frozen.dtype == np.float64
+    assert np.max(np.abs(frozen - unfused.data)) < 1e-10
+
+
+def test_frozen_encode_is_encode_and_the_layer_walk_bit_for_bit():
+    # the bits `extract` writes with a frozen encoder are the bits of
+    # `Encoder.encode` and of the layers run one by one under no_grad
+    rng = np.random.default_rng(11)
+    enc = with_eval_state(Encoder(EncoderConfig(), rng), rng)
+    chunk = rng.uniform(-0.5, 0.5, 32000).astype(np.float32)
+    with ad.no_grad():
+        h = enc.sinc.forward(Tensor(chunk[None, None, :]))
+        outs = []
+        for block in enc.blocks:
+            h = block.forward(h, False)
+            outs.append(h)
+        agg = enc.skip.forward(outs, enc.skip_selects, 200)
+        walk = ad.conv1d(enc.qrnn.forward(agg), enc.emb_w, enc.emb_b).data[0].T
+    frozen = enc.frozen().encode(chunk)
+    assert frozen.dtype == np.float32 and frozen.shape == (200, 256)
+    assert frozen.tobytes() == enc.encode(chunk).tobytes()
+    assert frozen.tobytes() == np.ascontiguousarray(walk).tobytes()
+
+
+def test_encode_reads_updated_weights_and_a_frozen_form_keeps_its_snapshot(rng):
+    enc = Encoder(small_config(), rng)
+    chunk = rng.uniform(-0.5, 0.5, 8000).astype(np.float32)
+    frozen = enc.frozen()
+    before = enc.encode(chunk)
+    w = enc.blocks[3].w
+    w.grad = np.ones_like(w.data)
+    Adam([w]).step(1e-2)  # updates w.data in place
+    after = enc.encode(chunk)
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == enc.frozen().encode(chunk).tobytes()
+    assert frozen.encode(chunk).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("config", [EncoderConfig, small_config])

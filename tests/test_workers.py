@@ -99,12 +99,14 @@ def test_standardized_corpus_targets_have_unit_scale(rng):
 @pytest.mark.parametrize(
     "lengths,silent",
     [([32000], False), ([32000] * 7, False), ([32000] * 9, False),
-     ([32000, 8005, 8005, 32000], False), ([32000] * 2, True)],
-    ids=["1", "7", "9", "mixed", "silent"],
+     ([32000, 8005, 8005, 32000], False), ([32000] * 2, True), ([1040] * 2, False)],
+    ids=["1", "7", "9", "mixed", "silent", "5-frames"],
 )
 def test_fit_equals_the_stacked_fit_bitwise(rng, lengths, silent):
     # 9 chunks cross the fit's block of 8; mixed lengths split the blocks;
-    # silent chunks put every std at the floor
+    # silent chunks put every std at the floor; 5 frames, the fewest deltas
+    # take, repeat the edge frames of the outer context blocks more often
+    # than the frames they follow
     chunks = [(rng.uniform(-0.5, 0.5, n) * (0.1 + i)).astype(np.float32) for i, n in enumerate(lengths)]
     chunks[-1][: len(chunks[-1]) // 2] = 0.0  # silence: log floors and zero deltas
     if silent:
