@@ -20,6 +20,13 @@ What the tape keeps alive, and for how long:
   vjp recomputes that output, and the normalized input, from x. `linear_mse`
   keeps the difference between prediction and target, which its vjp reads,
   and never the prediction.
+- A vjp works in place only on buffers it allocated itself, never on g
+  (which `_accumulate` may have handed to another node too) or on a
+  parent's `.data`. `linear_mse`'s vjp consumes the difference it keeps,
+  scaling it in place into the gradient: `backward()` calls each vjp once.
+  An in-place step rounds to the dtype of the buffer it writes, which is
+  the dtype the out-of-place expression has when g and the forward share
+  one dtype, as they do in training and in the gradient checks.
 - `backward()` frees the tape node by node: each node drops its vjp and
   its parents as it is visited, so an activation the caller does not hold
   dies when its node is visited, after every vjp that reads it has run.
@@ -250,17 +257,45 @@ def tanh(x: Tensor) -> Tensor:
     return _from_op(t, (x,), vjp)
 
 
+def _neg_mask(y: np.ndarray) -> np.ndarray:
+    """The select mask of `y < 0`: integers of y's item width, all ones where
+    y < 0 and 0 elsewhere (also at -0.0 and NaN)."""
+    return np.negative(y < 0, dtype=np.dtype(f"i{y.dtype.itemsize}"))
+
+
+def _where_neg(mask: np.ndarray, if_neg: np.ndarray, other: np.ndarray | None = None):
+    """np.where(y < 0, if_neg, other) for mask = _neg_mask(y), written into
+    if_neg, a buffer the caller owns; other=None selects +0.0.
+
+    The select runs on the bit patterns (other ^ ((if_neg ^ other) & mask)),
+    with no branch per element, so every value, ±0, NaN and inf included,
+    comes out as np.where gives it. Mixed widths select in if_neg's dtype,
+    which is the one np.where promotes to here.
+    """
+    if mask.itemsize != if_neg.itemsize:
+        mask = mask.astype(f"i{if_neg.itemsize}")
+    bits = if_neg.view(mask.dtype)
+    if other is None:
+        bits &= mask
+    else:
+        other = other.astype(if_neg.dtype, copy=False).view(mask.dtype)
+        bits ^= other
+        bits &= mask
+        bits ^= other
+    return if_neg
+
+
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     """PReLU with one slope per channel; channels live on axis 1."""
     if x.ndim < 2 or alpha.data.shape != (x.shape[1],):
         raise ShapeMismatch(f"prelu: alpha {alpha.data.shape} vs input {x.shape}")
     a = alpha.data.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
-    out = np.where(x.data < 0, a * x.data, x.data)
+    out = _where_neg(_neg_mask(x.data), a * x.data, x.data)
 
     def vjp(g):
-        neg = x.data < 0
-        dx = np.where(neg, a * g, g)
-        da_full = np.where(neg, g * x.data, 0.0)
+        neg = _neg_mask(x.data)
+        dx = _where_neg(neg, a * g, g)
+        da_full = _where_neg(neg, g * x.data)
         axes = (0,) + tuple(range(2, x.ndim))
         return dx, da_full.sum(axis=axes)
 
@@ -408,17 +443,23 @@ def conv1d(
     im2col over blocks of batch items (`_COL_BUDGET` bounds the buffer):
     col is (n, T', C*K) and wm = w as (O, C*K). Each GEMM writes its result
     in the layout its consumer reads, with no transposed copy:
-      forward  wm @ col^T            -> (n, O, T'), straight into `out`
-      dW       g as (O, n*T') @ col  -> (O, C*K), summed block by block
-      dX       wm^T @ g              -> (n, C, K, T'); tap k adds its
-                                        time-contiguous rows into input
-                                        positions k, k+stride, ... in k order
+      forward  wm @ col^T              -> (n, O, T'), straight into `out`
+      dW       g as (O, n*T') @ colT^T -> (O, C*K), summed block by block;
+                                          colT is (C*K, n*T'), time-contiguous
+      dX       wm^T @ g                -> (n, C, K, T'), added tap by tap in
+                                          k order into a residue-major block
+                                          (n, C, stride, span) whose [r, q]
+                                          is input position q*stride + r, so
+                                          each tap adds one contiguous run;
+                                          one interleaving copy writes dX
     Every output element is summed in the same order as in the transposing
     im2col reference (tests/oracles.py `reference_conv1d`), so results
-    equal it bit for bit. dX and dW keep x's and w's dtypes whatever the
-    dtype of g. Padding is applied one batch block at a time, in forward
-    and again in the dW loop, so no padded copy of the whole input is made
-    or kept on the tape.
+    equal it bit for bit. The forward keeps its (n, T', C*K) columns: with
+    them time-contiguous, training kept its bits but inference's GEMMs
+    rounded differently and the extracted embeddings moved. dX and dW keep
+    x's and w's dtypes whatever the dtype of g. Padding is applied one batch
+    block at a time, in forward and again in the dW loop, so no padded copy
+    of the whole input is made or kept on the tape.
     """
     B, C, T = x.data.shape
     O, C2, K = w.data.shape
@@ -446,21 +487,24 @@ def conv1d(
 
     def vjp(g):
         dw = np.zeros_like(wm) if need_dw else None
-        dxp = np.zeros_like(x.data, shape=(B, C, T + 2 * padding)) if need_dx else None
+        span = -(-(T + 2 * padding) // stride)
+        dxp = np.empty_like(x.data, shape=(B, C, span, stride)) if need_dx else None
         for lo in range(0, B, block):
             hi = min(B, lo + block)
             if need_dw:
                 col = _col_view(x.data, lo, hi, padding, K, stride)[:, :, :t_out]
-                col = np.ascontiguousarray(col.transpose(0, 2, 1, 3)).reshape(-1, C * K)
-                dw += g[lo:hi].transpose(1, 0, 2).reshape(O, -1) @ col
+                col = np.ascontiguousarray(col.transpose(1, 3, 0, 2)).reshape(C * K, -1)
+                dw += g[lo:hi].transpose(1, 0, 2).reshape(O, -1) @ col.T
             if need_dx:
                 dcol = (wm.T @ g[lo:hi]).reshape(hi - lo, C, K, t_out)
-                sl = dxp[lo:hi]
+                acc = np.zeros_like(x.data, shape=(hi - lo, C, stride, span))
                 for k in range(K):
-                    sl[:, :, k : k + stride * t_out : stride] += dcol[:, :, k]
+                    q, r = divmod(k, stride)
+                    acc[:, :, r, q : q + t_out] += dcol[:, :, k]
+                dxp[lo:hi] = acc.transpose(0, 1, 3, 2)
         dx = None
         if need_dx:
-            dx = dxp[:, :, padding : padding + T] if padding else dxp
+            dx = dxp.reshape(B, C, span * stride)[:, :, padding : padding + T]
         grads = [dx, dw.reshape(O, C, K) if need_dw else None]
         if b is not None:
             grads.append(g.sum(axis=(0, 2)))
@@ -486,7 +530,10 @@ def batchnorm_prelu(
     mode uses the buffers and touches nothing. The tape keeps x and not the
     batch-norm output: the vjp recomputes the normalized input and the
     batch-norm output from x, so eval mode keeps a copy of `running_mean`
-    as it was at forward time.
+    as it was at forward time. Each expression runs in place in a buffer
+    the op allocated, with its operands in the unfused ops' order, and
+    PReLU selects by bit mask, so the bits are those of batch norm then
+    PReLU (tests/oracles.py) with no extra temporaries.
     """
     B, C, T = x.data.shape
     if gamma.data.shape != (C,) or beta.data.shape != (C,) or alpha.data.shape != (C,):
@@ -505,35 +552,44 @@ def batchnorm_prelu(
         mu = running_mean.copy()
         var = running_var
 
-    invstd = _bn_invstd(var)
+    invstd = _bn_invstd(var).reshape(1, C, 1)
     a = alpha.data.reshape(1, C, 1)
 
     def normalized():
-        return (x.data - mu.reshape(1, C, 1)) * invstd.reshape(1, C, 1)
+        xhat = x.data - mu.reshape(1, C, 1)
+        xhat *= invstd
+        return xhat
 
     def batchnormed(xhat):
-        return gamma.data.reshape(1, C, 1) * xhat + beta.data.reshape(1, C, 1)
+        y = gamma.data.reshape(1, C, 1) * xhat
+        y += beta.data.reshape(1, C, 1)
+        return y
 
     y = batchnormed(normalized())
-    out = np.where(y < 0, a * y, y)
+    out = _where_neg(_neg_mask(y), a * y, y)
 
     def vjp(g):
         xhat = normalized()
         y = batchnormed(xhat)
-        neg = y < 0
-        da = np.where(neg, g * y, 0.0).sum(axis=(0, 2))
-        del y
-        g = np.where(neg, a * g, g)  # the gradient at the batch-norm output
-        dgamma = (g * xhat).sum(axis=(0, 2))
-        dbeta = g.sum(axis=(0, 2))
-        gx = g * gamma.data.reshape(1, C, 1)
+        neg = _neg_mask(y)
+        tmp = np.multiply(g, y, out=y)  # y is not read again: its buffer is reused
+        da = _where_neg(neg, tmp).sum(axis=(0, 2))
+        gx = _where_neg(neg, a * g, g)  # the gradient at the batch-norm output
+        dgamma = np.multiply(gx, xhat, out=tmp).sum(axis=(0, 2))
+        dbeta = gx.sum(axis=(0, 2))
+        gx *= gamma.data.reshape(1, C, 1)
         if training:
             s1 = gx.sum(axis=(0, 2), keepdims=True)
-            s2 = (gx * xhat).sum(axis=(0, 2), keepdims=True)
-            dx = (invstd.reshape(1, C, 1) / n) * (n * gx - s1 - xhat * s2)
+            s2 = np.multiply(gx, xhat, out=tmp).sum(axis=(0, 2), keepdims=True)
+            # dx = (invstd / n) * (n * gx - s1 - xhat * s2)
+            np.multiply(n, gx, out=gx)
+            gx -= s1
+            xhat *= s2
+            gx -= xhat
+            np.multiply(invstd / n, gx, out=gx)
         else:
-            dx = gx * invstd.reshape(1, C, 1)
-        return dx, dgamma, dbeta, da
+            gx *= invstd
+        return gx, dgamma, dbeta, da
 
     return _from_op(out, (x, gamma, beta, alpha), vjp)
 
@@ -590,7 +646,7 @@ def linear_mse(h: Tensor, w: Tensor, b: Tensor, target: np.ndarray) -> Tensor:
 
     def vjp(g):
         scale = 2.0 * g / diff.size
-        gp = scale * diff
+        gp = np.multiply(scale, diff, out=diff)  # consumes diff: the tape calls a vjp once
         dh = gp @ w.data if h.requires_grad else None
         dw = gp.T @ h.data if w.requires_grad else None
         return dh, dw, gp.sum(axis=0)

@@ -333,7 +333,10 @@ def pretrain(cfg: TrainConfig) -> str:
 def encode_utterance(encoder: Encoder | FrozenEncoder, samples: np.ndarray,
                      sample_rate: int) -> np.ndarray:
     """Eval-mode embedding of a whole utterance via non-overlapping 2 s
-    windows; an `Encoder` and its `frozen()` form give the same bits."""
+    windows; an `Encoder` and its `frozen()` form give the same bits. An
+    `Encoder` is frozen once here, not once per window."""
+    if isinstance(encoder, Encoder):
+        encoder = encoder.frozen()
     hop = encoder.cfg.hop_samples
     want = chunk_samples(sample_rate)
     n = len(samples)

@@ -97,6 +97,42 @@ def test_conv1d_float64_edge_shapes_match_reference(rng, x_shape, w_shape, strid
         np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12, err_msg=label)
 
 
+@pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding",
+    [
+        ((2, 3, 20), (4, 3, 2), 3, 0),  # K < stride: residue 2 gets no tap
+        ((3, 4, 17), (5, 4, 1), 2, 0),  # K = 1: one residue gets every tap
+        ((2, 3, 24), (4, 3, 5), 3, 2),  # stride 3 does not divide T + 2*padding = 28
+        ((2, 3, 24), (4, 3, 4), 2, 0),  # padding 0 with stride 2
+    ],
+    ids=["k2_stride3", "k1_stride2", "stride_not_dividing", "pad0_stride2"],
+)
+def test_conv1d_residue_major_dx_bitwise_equals_reference(rng, x_shape, w_shape, stride, padding):
+    """dX gathers each tap into a residue-major buffer, then interleaves it:
+    every input position still adds its taps in k order, so float32 bits
+    equal the reference's strided scatter."""
+    x, w, b, g = _operands(rng, x_shape, w_shape, True, stride, padding, np.float32)
+    got = _conv_and_grads(x, w, b, g, stride, padding)
+    want = reference_conv1d(x, w, b, g, stride=stride, padding=padding)
+    for label, a, r in zip(("out", "dx", "dw", "db"), got, want):
+        assert a.dtype == r.dtype == np.float32, label
+        assert np.array_equal(a, r), label
+
+
+def test_conv1d_block0_one_item_per_block_bitwise_equals_reference(rng, monkeypatch):
+    """Block0 of the default encoder (stride 10, K = 21) on a 2 s chunk with
+    every batch item in its own block, as the reference blocks it too."""
+    (_, x_shape, w_shape, stride, padding, _), = [
+        s for s in _encoder_conv_shapes(batch=2) if s[0] == "block0"]
+    assert (stride, w_shape[2]) == (10, 21)
+    monkeypatch.setattr(ad, "_COL_BUDGET", 1)
+    x, w, b, g = _operands(rng, x_shape, w_shape, True, stride, padding, np.float32)
+    got = _conv_and_grads(x, w, b, g, stride, padding)
+    want = reference_conv1d(x, w, b, g, stride=stride, padding=padding)
+    for label, a, r in zip(("out", "dx", "dw", "db"), got, want):
+        assert np.array_equal(a, r), label
+
+
 # (x shape, w shape, stride, padding): each fits several batch items in one
 # im2col block under the default budget
 _BLOCKED_SHAPES = [

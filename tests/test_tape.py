@@ -38,6 +38,79 @@ def test_prelu_equals_saved_mask_oracle(rng, dtype, shape):
     assert same_bytes(at.grad, want_da)
 
 
+def special_values(dtype) -> np.ndarray:
+    """±0, NaN of both signs and one with a payload, ±inf, ±subnormal and
+    two normal numbers."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    v = np.array([0.0, -0.0, np.nan, np.nan, np.nan, np.inf, -np.inf, tiny, -tiny, 1.5, -2.25],
+                 dtype)
+    v[3] = np.copysign(v[3], -1.0)
+    v.view(f"u{v.itemsize}")[4] |= 1  # a NaN payload the select must keep
+    return v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_branch_free_select_equals_np_where(dtype):
+    v = special_values(dtype)
+    y, a, b = (grid.ravel() for grid in np.meshgrid(v, v, v, indexing="ij"))
+    mask = ad._neg_mask(y)
+    assert mask.dtype.itemsize == y.dtype.itemsize
+    assert same_bytes(ad._where_neg(mask, a.copy(), b), np.where(y < 0, a, b))
+    assert same_bytes(ad._where_neg(mask, a.copy()), np.where(y < 0, a, 0.0))
+
+
+@pytest.mark.parametrize(
+    "dtype,alpha_dtype",
+    [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+     (np.float64, np.float32)],
+)
+def test_prelu_signed_zeros_equal_saved_mask_oracle(rng, dtype, alpha_dtype):
+    # mixed dtypes select in the wider one, with a mask of its width, as np.where promotes
+    x = rng.standard_normal((3, 4, 18)).astype(dtype)
+    x[:, :, ::3] = 0.0
+    x[:, :, 1::6] = -0.0
+    g = rng.standard_normal(x.shape).astype(dtype)
+    g[:, :, ::2] = -0.0  # meets +0, -0, negative and positive x
+    g[:, :, 1::4] = 0.0
+    alpha = rng.uniform(0.1, 0.5, 4).astype(alpha_dtype)
+    want_out, want_dx, want_da = reference_prelu(x, alpha, g)
+
+    out = ad.prelu(Tensor(x, requires_grad=True), Tensor(alpha, requires_grad=True))
+    dx, da = out._vjp(g)  # straight from the op: a leaf's grad would turn -0.0 into +0.0
+    assert same_bytes(out.data, want_out)
+    assert same_bytes(dx, want_dx)
+    assert same_bytes(da, want_da)
+
+
+def test_vjps_leave_g_and_the_parents_data_alone(rng):
+    """Vjps that work in place write only buffers they allocated: never the
+    upstream gradient, which may alias another node's buffer, nor a
+    parent's data."""
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    def slopes(c):
+        return Tensor(rng.uniform(0.1, 0.5, c).astype(np.float32), requires_grad=True)
+
+    x, gamma, beta, alpha = t(2, 3, 20), t(3), t(3), slopes(3)
+    running = (rng.standard_normal(3).astype(np.float32),
+               rng.uniform(0.5, 2.0, 3).astype(np.float32))
+    flat, w, b = t(6, 5), t(4, 5), t(4)
+    outs = {
+        "batchnorm_prelu train": ad.batchnorm_prelu(x, gamma, beta, alpha, *running, True),
+        "batchnorm_prelu eval": ad.batchnorm_prelu(x, gamma, beta, alpha, *running, False),
+        "prelu": ad.prelu(x, alpha),
+        "conv1d": ad.conv1d(x, t(4, 3, 5), t(4), stride=3, padding=2),
+        "linear_mse": ad.linear_mse(flat, w, b, rng.standard_normal((6, 4)).astype(np.float32)),
+    }
+    for name, out in outs.items():
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        before = [g.copy()] + [p.data.copy() for p in out._parents]
+        out._vjp(g)
+        after = [g] + [p.data for p in out._parents]
+        assert all(same_bytes(a, b) for a, b in zip(after, before)), name
+
+
 def batchnorm_case(rng, dtype):
     """Inputs of `batchnorm_prelu` whose batch-norm output is exactly 0,
     both +0.0 and -0.0, at PReLU's `< 0` boundary, in both modes: channels

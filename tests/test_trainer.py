@@ -10,6 +10,7 @@ import pase.workers as W
 from pase.audio_io import Waveform, read_wav, write_wav
 from pase.autodiff import Tensor
 from pase.config import TrainConfig
+from pase.encoder import Encoder
 from pase.checkpoint import load_checkpoint, save_checkpoint
 from pase.errors import (
     ConfigError,
@@ -107,6 +108,21 @@ def test_checkpoint_round_trip_embeddings(trained, tmp_path, rng):
     model2, _ = T.load_model(again)
     emb_second = model2.encoder.encode(chunk)
     assert np.array_equal(emb_first, emb_second)
+
+
+def test_encode_utterance_freezes_an_encoder_once(trained, rng, monkeypatch):
+    model, _ = T.load_model(trained["final"])
+    samples = rng.uniform(-0.5, 0.5, 5 * 16000).astype(np.float32)  # three 2 s windows
+    frozen = model.encoder.frozen()
+    builds = []
+    build = Encoder.frozen
+    monkeypatch.setattr(Encoder, "frozen", lambda self: builds.append(self) or build(self))
+    via_encoder = T.encode_utterance(model.encoder, samples, 16000)
+    assert len(builds) == 1
+    via_frozen = T.encode_utterance(frozen, samples, 16000)
+    hop = model.encoder_cfg.hop_samples
+    assert via_encoder.shape == (len(samples) // hop, model.encoder_cfg.embedding_dim)
+    assert via_encoder.tobytes() == via_frozen.tobytes()
 
 
 def test_loaded_model_owns_aligned_arrays(trained):
