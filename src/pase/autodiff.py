@@ -19,7 +19,10 @@ What the tape keeps alive, and for how long:
   keeps its input, never the batch-norm output between the two halves: its
   vjp recomputes that output, and the normalized input, from x. `linear_mse`
   keeps the difference between prediction and target, which its vjp reads,
-  and never the prediction.
+  and never the prediction; it reads its target in pieces, so no whole
+  target is built next to the difference and its squares. The encoder's
+  front end (`encoder.front_end_convs`) keeps the sinc output that block0's
+  dW reads, and its vjp never builds the whole batch's gradient of it.
 - A vjp works in place only on buffers it allocated itself, never on g
   (which `_accumulate` may have handed to another node too) or on a
   parent's `.data`. `linear_mse`'s vjp consumes the difference it keeps,
@@ -31,6 +34,9 @@ What the tape keeps alive, and for how long:
   its parents as it is visited, so an activation the caller does not hold
   dies when its node is visited, after every vjp that reads it has run.
   After the walk every node is a leaf.
+- A leaf's `.grad` lives until its owner releases it: `trainer.train_step`
+  releases every parameter's after the optimizer step, so no gradient
+  lives through the next step's forward.
 
 Compute defaults to float32; building tensors from float64 arrays keeps
 float64, which is what the finite-difference checks rely on.
@@ -471,7 +477,7 @@ def conv1d(
     t_out = (T + 2 * padding - K) // stride + 1
     wm = w.data.reshape(O, C * K)
 
-    block = max(1, _COL_BUDGET // max(1, t_out * C * K))
+    block = _batch_block(t_out, C, K)
     out = np.empty((B, O, t_out), dtype=np.result_type(x.data, w.data))
     for lo in range(0, B, block):
         hi = min(B, lo + block)
@@ -487,31 +493,61 @@ def conv1d(
 
     def vjp(g):
         dw = np.zeros_like(wm) if need_dw else None
-        span = -(-(T + 2 * padding) // stride)
-        dxp = np.empty_like(x.data, shape=(B, C, span, stride)) if need_dx else None
+        dxp = _dx_buffer(x.data, B, stride, padding) if need_dx else None
         for lo in range(0, B, block):
             hi = min(B, lo + block)
-            if need_dw:
-                col = _col_view(x.data, lo, hi, padding, K, stride)[:, :, :t_out]
-                col = np.ascontiguousarray(col.transpose(1, 3, 0, 2)).reshape(C * K, -1)
-                dw += g[lo:hi].transpose(1, 0, 2).reshape(O, -1) @ col.T
-            if need_dx:
-                dcol = (wm.T @ g[lo:hi]).reshape(hi - lo, C, K, t_out)
-                acc = np.zeros_like(x.data, shape=(hi - lo, C, stride, span))
-                for k in range(K):
-                    q, r = divmod(k, stride)
-                    acc[:, :, r, q : q + t_out] += dcol[:, :, k]
-                dxp[lo:hi] = acc.transpose(0, 1, 3, 2)
-        dx = None
-        if need_dx:
-            dx = dxp.reshape(B, C, span * stride)[:, :, padding : padding + T]
-        grads = [dx, dw.reshape(O, C, K) if need_dw else None]
+            _conv1d_vjp_block(x.data[lo:hi], wm, g[lo:hi], K, stride, padding, dw,
+                              dxp[lo:hi] if need_dx else None)
+        grads = [_dx_of(dxp, padding, T) if need_dx else None,
+                 dw.reshape(O, C, K) if need_dw else None]
         if b is not None:
             grads.append(g.sum(axis=(0, 2)))
         return tuple(grads)
 
     parents = (x, w) if b is None else (x, w, b)
     return _from_op(out, parents, vjp)
+
+
+def _batch_block(t_out: int, channels: int, kernel: int) -> int:
+    """Batch items per im2col block of a conv, so one block's columns stay
+    within `_COL_BUDGET` values. A conv's vjp sums dW block by block, so its
+    bits depend on this size."""
+    return max(1, _COL_BUDGET // max(1, t_out * channels * kernel))
+
+
+def _dx_buffer(x: np.ndarray, n: int, stride: int, padding: int) -> np.ndarray:
+    """An empty residue-major dX buffer (n, C, span, stride) for n items of x."""
+    span = -(-(x.shape[2] + 2 * padding) // stride)
+    return np.empty_like(x, shape=(n, x.shape[1], span, stride))
+
+
+def _dx_of(dxp: np.ndarray, padding: int, t_in: int) -> np.ndarray:
+    """The (n, C, t_in) input gradient in a dX buffer, as a view."""
+    n, c, span, stride = dxp.shape
+    return dxp.reshape(n, c, span * stride)[:, :, padding : padding + t_in]
+
+
+def _conv1d_vjp_block(x, wm, g, kernel: int, stride: int, padding: int, dw, dxp) -> None:
+    """One batch block's share of conv1d's vjp, for its input x (n, C, T),
+    the weight as wm (O, C*K) and its output gradient g (n, O, T').
+
+    Adds the block's dW into dw (O, C*K) unless dw is None, and writes the
+    block's dX into the residue-major buffer dxp (n, C, span, stride) from
+    `_dx_buffer` unless dxp is None; `_dx_of` reads the gradient from it."""
+    n, C, _ = x.shape
+    t_out = g.shape[2]
+    if dw is not None:
+        col = _col_view(x, 0, n, padding, kernel, stride)[:, :, :t_out]
+        col = np.ascontiguousarray(col.transpose(1, 3, 0, 2)).reshape(C * kernel, -1)
+        dw += g.transpose(1, 0, 2).reshape(wm.shape[0], -1) @ col.T
+    if dxp is not None:
+        span = dxp.shape[2]
+        dcol = (wm.T @ g).reshape(n, C, kernel, t_out)
+        acc = np.zeros_like(x, shape=(n, C, stride, span))
+        for k in range(kernel):
+            q, r = divmod(k, stride)
+            acc[:, :, r, q : q + t_out] += dcol[:, :, k]
+        dxp[...] = acc.transpose(0, 1, 3, 2)
 
 
 def batchnorm_prelu(
@@ -598,27 +634,36 @@ def fo_pool(z: Tensor, f: Tensor) -> Tensor:
     """Forget-gated recurrent pooling: c_t = f_t * c_{t-1} + (1 - f_t) * z_t.
 
     Gates arrive precomputed for every step; only this pooling recurrence is
-    sequential. Shapes are (B, H, T).
+    sequential. Shapes are (B, H, T), and z, f and g share one dtype.
+
+    Every term that does not depend on the carried state is computed once
+    for all steps: (1 - f) * z in the forward, and 1 - f and c_{t-1} - z
+    (0 - z at t = 0) in the vjp, whose loop only carries dc and whose dz and
+    df are whole-array products after it. Each step then runs two ops, and
+    every value is the one the per-step expressions give (tests/oracles.py
+    `reference_fo_pool`).
     """
     if z.data.shape != f.data.shape:
         raise ShapeMismatch("fo_pool: z and f must share a shape")
     zd, fd = z.data, f.data
-    c = np.empty_like(zd)
+    c = np.multiply(1.0 - fd, zd)  # (1 - f_t) * z_t, overwritten step by step with c_t
     prev = np.zeros(zd.shape[:2], dtype=zd.dtype)
     for t in range(zd.shape[2]):
-        prev = fd[:, :, t] * prev + (1.0 - fd[:, :, t]) * zd[:, :, t]
-        c[:, :, t] = prev
+        step = c[:, :, t]
+        step += fd[:, :, t] * prev
+        prev = step
 
     def vjp(g):
-        dz = np.empty_like(zd)
-        df = np.empty_like(fd)
-        dc = np.zeros(zd.shape[:2], dtype=zd.dtype)
+        dc = np.empty_like(zd)  # dc_t, the gradient reaching c_t
+        carry = np.zeros(zd.shape[:2], dtype=zd.dtype)
         for t in range(zd.shape[2] - 1, -1, -1):
-            dc = dc + g[:, :, t]
-            c_prev = c[:, :, t - 1] if t > 0 else 0.0
-            df[:, :, t] = dc * (c_prev - zd[:, :, t])
-            dz[:, :, t] = dc * (1.0 - fd[:, :, t])
-            dc = dc * fd[:, :, t]
+            np.add(carry, g[:, :, t], out=dc[:, :, t])
+            np.multiply(dc[:, :, t], fd[:, :, t], out=carry)
+        diffs = np.empty_like(zd)  # c_{t-1} - z_t
+        np.subtract(c[:, :, :-1], zd[:, :, 1:], out=diffs[:, :, 1:])
+        np.subtract(0.0, zd[:, :, 0], out=diffs[:, :, 0])
+        dz = np.multiply(dc, 1.0 - fd)
+        df = np.multiply(dc, diffs, out=diffs)
         return dz, df
 
     return _from_op(c, (z, f), vjp)
@@ -627,21 +672,35 @@ def fo_pool(z: Tensor, f: Tensor) -> Tensor:
 # --- losses --------------------------------------------------------------------
 
 
-def linear_mse(h: Tensor, w: Tensor, b: Tensor, target: np.ndarray) -> Tensor:
+def linear_mse(h: Tensor, w: Tensor, b: Tensor, target) -> Tensor:
     """mean((h @ w.T + b - target) ** 2) for h: (N, I), w: (O, I), b: (O,)
-    and a constant (N, O) target.
+    and a constant (N, O) target given in pieces: an iterable of
+    (rows, cols, values), where rows and cols are slices and values is
+    target[rows, cols]. The pieces cover the target once; a whole target T
+    is the one piece (slice(None), slice(None), T).
 
-    The target is subtracted in place in the buffer that holds h @ w.T + b,
-    so the prediction is never kept: the tape keeps the difference, in the
-    prediction's dtype, which is what the vjp reads.
+    Each piece is subtracted, as it arrives, in place in the buffer that
+    holds h @ w.T + b, so neither the whole target nor the prediction is
+    ever built or kept: the forward holds the difference and its squares,
+    and the tape keeps the difference, in the prediction's dtype, which is
+    what the vjp reads. A piece is only read.
     """
     if h.data.shape[-1] != w.data.shape[1]:
         raise ShapeMismatch(f"linear_mse: {h.data.shape} @ {w.data.shape}")
     diff = h.data @ w.data.T
-    if target.shape != diff.shape:
-        raise ShapeMismatch(f"linear_mse: prediction {diff.shape} vs target {target.shape}")
     diff += b.data
-    diff -= target
+    covered = 0
+    for rows, cols, values in target:
+        if not (isinstance(rows, slice) and isinstance(cols, slice)):
+            raise ShapeMismatch("linear_mse: a target piece's rows and cols must be slices")
+        part = diff[rows, cols]
+        if values.shape != part.shape:
+            raise ShapeMismatch(f"linear_mse: prediction piece {part.shape} vs target piece "
+                                f"{values.shape}")
+        np.subtract(part, values, out=part)
+        covered += part.size
+    if covered != diff.size:
+        raise ShapeMismatch(f"linear_mse: target pieces cover {covered} of {diff.size} values")
     out = np.asarray((diff * diff).mean(), dtype=diff.dtype)
 
     def vjp(g):

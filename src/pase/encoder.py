@@ -142,6 +142,57 @@ def sinc_bandpass_kernels(
     return ad._from_op(out, (p_low, p_band), vjp)
 
 
+def front_end_convs(x: Tensor, kernels: Tensor, w: Tensor, b: Tensor, sinc_stride: int,
+                    sinc_pad: int, stride: int, pad: int) -> Tensor:
+    """Block0's conv (w, b) of the sinc conv (kernels) of the waveform x, as
+    one op: (B, 1, T) -> (B, O, T').
+
+    The forward runs the two whole-batch convs and keeps the sinc output,
+    which block0's dW reads. The vjp walks the batch in each conv's im2col
+    blocks (`ad._batch_block`, one item each at the default config and 2 s
+    chunks), in item order: block0's dW, then for each block of items
+    block0's dX, which is the gradient of those items' sinc output, the sinc
+    filters' dW from it and x's dX when x needs one. So no whole-batch
+    gradient of the sinc output is built, and every gradient has the bits of
+    two `ad.conv1d` calls, whose vjp runs the same blocks.
+    """
+    with ad.no_grad():
+        h = ad.conv1d(x, kernels, stride=sinc_stride, padding=sinc_pad).data
+        out = ad.conv1d(Tensor(h), w, b, stride=stride, padding=pad).data
+    n_items, channels, t_h = h.shape
+    k_sinc, k0 = kernels.shape[2], w.shape[2]
+    km = kernels.data.reshape(kernels.shape[0], -1)
+    wm = w.data.reshape(w.shape[0], -1)
+    need_x, need_k, need_w = x.requires_grad, kernels.requires_grad, w.requires_grad
+
+    def blocks(t_out, c, k):
+        size = ad._batch_block(t_out, c, k)
+        return ((lo, min(n_items, lo + size)) for lo in range(0, n_items, size))
+
+    def vjp(g):
+        dw = None
+        if need_w:
+            dw = np.zeros_like(wm)
+            for lo, hi in blocks(g.shape[2], channels, k0):
+                ad._conv1d_vjp_block(h[lo:hi], wm, g[lo:hi], k0, stride, pad, dw, None)
+        dk = np.zeros_like(km) if need_k else None
+        dxp = ad._dx_buffer(x.data, n_items, sinc_stride, sinc_pad) if need_x else None
+        if need_k or need_x:
+            for lo, hi in blocks(t_h, 1, k_sinc):
+                dhp = ad._dx_buffer(h, hi - lo, stride, pad)
+                ad._conv1d_vjp_block(h[lo:hi], wm, g[lo:hi], k0, stride, pad, None, dhp)
+                ad._conv1d_vjp_block(x.data[lo:hi], km, ad._dx_of(dhp, pad, t_h), k_sinc,
+                                     sinc_stride, sinc_pad, dk, dxp[lo:hi] if need_x else None)
+        return (
+            ad._dx_of(dxp, sinc_pad, x.shape[2]) if need_x else None,
+            dk.reshape(kernels.shape) if need_k else None,
+            dw.reshape(w.shape) if need_w else None,
+            g.sum(axis=(0, 2)),
+        )
+
+    return ad._from_op(out, (x, kernels, w, b), vjp)
+
+
 class SincLayer:
     """The front end: learnable band-pass sinc filters, then block0's conv.
 
@@ -149,8 +200,9 @@ class SincLayer:
     returns block0's pre-norm conv output and `Encoder.blocks[0]` applies
     only batch norm and PReLU. Block0's weights keep their checkpoint names,
     `<prefix>/block0/conv/w` and `/b`. While the graph is recorded the two
-    convs run one after the other; under `no_grad` they run as one conv of
-    the waveform (see `FrozenFrontEnd`).
+    convs are one op, `front_end_convs`, whose backward never holds the
+    whole batch's gradient of the sinc output; under `no_grad` they run as
+    one conv of the waveform (see `FrozenFrontEnd`).
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, prefix: str):
@@ -196,8 +248,8 @@ class SincLayer:
         """(B, 1, T) waveform -> block0's conv output, before batch norm."""
         if not ad.grad_enabled():
             return self.frozen()(x)
-        h = ad.conv1d(x, self.kernels(), stride=self.cfg.sinc_stride, padding=self.pad)
-        return ad.conv1d(h, self.w, self.b, stride=self.conv_stride, padding=self.conv_pad)
+        return front_end_convs(x, self.kernels(), self.w, self.b, self.cfg.sinc_stride, self.pad,
+                               self.conv_stride, self.conv_pad)
 
     def frozen(self) -> "FrozenFrontEnd":
         return FrozenFrontEnd(self)
@@ -214,7 +266,8 @@ class FrozenFrontEnd:
     Block0 zero-pads the sinc output, while the composed conv sees the sinc
     of the zero-padded waveform there; the frames whose window reaches past
     either end of the sinc output are recomputed with the two convs, over
-    only the sinc outputs they read.
+    only the sinc outputs they read. Training never composes the convs: it
+    runs them unfused, as one op (`front_end_convs`).
     """
 
     def __init__(self, layer: SincLayer):

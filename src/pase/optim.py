@@ -44,6 +44,10 @@ class Adam:
             p.grad = None
 
     def step(self, lr: float):
+        """p -= lr * (m / c1) / (sqrt(v / c2) + eps), with every product and
+        quotient of the moment updates and of the step run in place in two
+        scratch arrays per parameter, in the expression's order, so the
+        values are the expression's (tests/oracles.py `reference_adam_step`)."""
         self.step_count += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1**self.step_count
@@ -54,8 +58,17 @@ class Adam:
             g = p.grad
             m = self.m[p.name]
             v = self.v[p.name]
+            num = np.multiply(1.0 - b1, g)
+            den = np.multiply(g, g)
             m *= b1
-            m += (1.0 - b1) * g
+            m += num
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            den *= 1.0 - b2
+            v += den
+            np.divide(m, c1, out=num)
+            np.multiply(lr, num, out=num)
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            num /= den
+            p.data -= num

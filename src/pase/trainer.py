@@ -226,7 +226,8 @@ def train_step(model: Model, entries: list[CorpusEntry], dist: DistortionConfig,
     """One optimizer step on one batch: two chunks of each entry are drawn and
     contaminated, both views encoded, and the workers' average loss against the
     clean first chunks backpropagated. Returns each worker's loss, then the
-    total. A non-finite loss or gradient raises before the update, with a dump."""
+    total, with every parameter's `grad` released after the update. A
+    non-finite loss or gradient raises before the update, with a dump."""
     chunks_a, chunks_b, dist_a = [], [], []
     for entry in entries:
         a = draw_chunk(entry.wave, rng, entry.utterance_id)
@@ -271,6 +272,7 @@ def train_step(model: Model, entries: list[CorpusEntry], dist: DistortionConfig,
             f" (first {bad[0]}), see {dump_path}"
         )
     adam.step(lr)
+    adam.zero_grad()  # the gradients are spent: free them before the next step's forward
     return {**{k: float(v.data) for k, v in losses.items()}, "total": float(total.data)}
 
 

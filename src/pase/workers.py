@@ -226,32 +226,37 @@ def regression_worker_loss(
 ) -> Tensor:
     """Frame-wise MSE between head(embedding) and standardized clean targets.
 
-    The targets are standardized straight into one (B, frames, dim) float32
-    array, one context block at a time, so no float64 context stack is
-    built. They are cut to the frames the embedding also has, and the head's
-    output layer and the MSE are one op, so no prediction is kept for
-    backward.
+    The target reaches the loss one chunk at a time, cut to the frames the
+    embedding also has: `linear_mse` asks for each chunk's piece in turn,
+    and the chunk's features are standardized straight into a (frames, dim)
+    float32 piece, one context block at a time. So neither a float64 context
+    stack nor the whole batch's target is built. The head's output layer
+    and the MSE are one op, so no prediction is kept for backward.
     """
     kind = spec.target_kind
-    b, c, t_emb = emb.shape
-    target = None
-    for i, samples in enumerate(clean_batch):
-        values = _unstacked_target(samples, kind, sample_rate)
-        if target is None:
-            t_tgt = values.shape[0]
-            if abs(t_emb - t_tgt) > 1:
-                raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
-            t_common = min(t_emb, t_tgt)
-            width = target_dim(kind, sample_rate)
-            target = np.empty((len(clean_batch), t_common, width), dtype=np.float32)
-        elif values.shape[0] != t_tgt:
-            raise FrameGridMismatch(f"chunk {i} gives {values.shape[0]} target frames, chunk 0 {t_tgt}")
-        w = values.shape[1]
-        for j, rows in enumerate(_target_rows(kind, t_tgt)):
-            cols = slice(j * w, (j + 1) * w)
-            standardizer.transform(kind, values[rows[:t_common]], out=target[i, :, cols], cols=cols)
+    t_emb = emb.shape[2]
+    first = _unstacked_target(clean_batch[0], kind, sample_rate)
+    t_tgt = first.shape[0]
+    if abs(t_emb - t_tgt) > 1:
+        raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
+    t_common = min(t_emb, t_tgt)
+    width = target_dim(kind, sample_rate)
+
+    def pieces():
+        for i, samples in enumerate(clean_batch):
+            values = first if i == 0 else _unstacked_target(samples, kind, sample_rate)
+            if values.shape[0] != t_tgt:
+                raise FrameGridMismatch(
+                    f"chunk {i} gives {values.shape[0]} target frames, chunk 0 {t_tgt}")
+            piece = np.empty((t_common, width), dtype=np.float32)
+            w = values.shape[1]
+            for j, rows in enumerate(_target_rows(kind, t_tgt)):
+                cols = slice(j * w, (j + 1) * w)
+                standardizer.transform(kind, values[rows[:t_common]], out=piece[:, cols], cols=cols)
+            yield slice(i * t_common, (i + 1) * t_common), slice(None), piece
+
     h = head.hidden(_flatten_frames(emb, t_common))
-    return ad.linear_mse(h, head.w2, head.b2, target.reshape(b * t_common, -1))
+    return ad.linear_mse(h, head.w2, head.b2, pieces())
 
 
 # --- contrastive sampling -------------------------------------------------------

@@ -275,6 +275,47 @@ def reference_mse_loss(pred, target):
     return out, vjp
 
 
+def target_pieces(target, rows=None):
+    """`target` in the piece form `autodiff.linear_mse` reads: one piece, or
+    blocks of `rows` rows."""
+    n = target.shape[0]
+    step = n if rows is None else rows
+    return [(slice(lo, lo + step), slice(None), target[lo : lo + step]) for lo in range(0, n, step)]
+
+
+def reference_fo_pool(z, f, g):
+    """The per-step forget-gate pooling loop `autodiff.fo_pool` replaced, kept
+    as its bitwise oracle: c_t = f_t * c_{t-1} + (1 - f_t) * z_t, with every
+    term computed inside the step. Returns (c, dz, df) for output gradient g."""
+    c = np.empty_like(z)
+    prev = np.zeros(z.shape[:2], dtype=z.dtype)
+    for t in range(z.shape[2]):
+        prev = f[:, :, t] * prev + (1.0 - f[:, :, t]) * z[:, :, t]
+        c[:, :, t] = prev
+    dz = np.empty_like(z)
+    df = np.empty_like(f)
+    dc = np.zeros(z.shape[:2], dtype=z.dtype)
+    for t in range(z.shape[2] - 1, -1, -1):
+        dc = dc + g[:, :, t]
+        c_prev = c[:, :, t - 1] if t > 0 else 0.0
+        df[:, :, t] = dc * (c_prev - z[:, :, t])
+        dz[:, :, t] = dc * (1.0 - f[:, :, t])
+        dc = dc * f[:, :, t]
+    return c, dz, df
+
+
+def reference_adam_step(p, m, v, g, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update of the arrays p, m and v in place, written as the
+    expression `optim.Adam.step` replaced, kept as its bitwise oracle."""
+    c1 = 1.0 - b1**step
+    c2 = 1.0 - b2**step
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
     """Equal dtype, shape and bytes: a -0.0 differs from a +0.0."""
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -18,7 +18,9 @@ from pase.audio_io import Chunk, Waveform
 from pase.autodiff import Tensor
 from pase.config import TrainConfig, load_train_config
 from pase.distortion import DistortionConfig, apply_freq_mask, contaminate, mix_noise
-from pase.encoder import Encoder, EncoderConfig, QRNNLayer, sinc_bandpass_kernels
+from pase.encoder import (
+    Encoder, EncoderConfig, QRNNLayer, front_end_convs, sinc_bandpass_kernels,
+)
 from pase.features import LOG_FLOOR, SPECTRAL_MAPS, add_deltas, mel_filterbank, power_spectrum
 from pase.rir import ImpulseResponse, generate_rir_image_method
 from pase.toygen import make_toy_corpus
@@ -31,6 +33,7 @@ from oracles import (
     naive_dft_power,
     schroeder_t60,
     sequential_qrnn,
+    target_pieces,
 )
 
 SR = 16000
@@ -151,7 +154,7 @@ def _op_cases():
     def linear_mse(rng):
         flat, w, b = t(rng, 6, 5), t(rng, 4, 5), t(rng, 4)
         target = rng.standard_normal((6, 4))
-        return lambda: ad.linear_mse(flat, w, b, target), [flat, w, b]
+        return lambda: ad.linear_mse(flat, w, b, target_pieces(target, rows=4)), [flat, w, b]
 
     def bce_logits_loss(rng):
         logits = t(rng, 6, 2)
@@ -169,6 +172,11 @@ def _op_cases():
             lambda: sq(sinc_bandpass_kernels(p_low, p_band, 65, SR, 30.0, 50.0)),
             [p_low, p_band],
         )
+
+    def front_end(rng):
+        # stride and padding in both convs, three items, a waveform that needs a gradient
+        x, kernels, w, b = t(rng, 3, 1, 40), t(rng, 4, 1, 7), t(rng, 5, 4, 5), t(rng, 5)
+        return lambda: sq(front_end_convs(x, kernels, w, b, 2, 3, 2, 2)), [x, kernels, w, b]
 
     return {
         "add": on_x_y(lambda x, y: ad.add(x, y)),
@@ -197,6 +205,7 @@ def _op_cases():
         "bce_logits_loss": bce_logits_loss,
         "softmax_cross_entropy": softmax_cross_entropy,
         "sinc_bandpass_kernels": sinc,
+        "front_end_convs": front_end,
     }
 
 
@@ -454,10 +463,11 @@ def test_criterion_training_descent(toy_run):
     utt_ids = []
     from pase.audio_io import draw_chunk, read_wav
 
+    frozen = model.encoder.frozen()  # the bits of Encoder.encode, built once
     for utt, spk, path in rows[:10]:
         wave = read_wav(path)
         chunk = draw_chunk(wave, rng, utt)
-        embeddings.append(model.encoder.encode(chunk.samples))
+        embeddings.append(frozen.encode(chunk.samples))
         utt_ids.append(utt)
     emb = Tensor(np.stack(embeddings).transpose(0, 2, 1))
 

@@ -15,6 +15,7 @@ from oracles import (
     reference_subsample_time,
     reference_take_rows,
     same_bytes,
+    target_pieces,
 )
 
 GRAD_TOL = 1e-4  # per-op bound; the acceptance gate is 1e-3
@@ -254,19 +255,34 @@ def test_mse_loss_contracts(rng):
     # linear_mse with an identity layer is the MSE of its input
     eye, zero = Tensor(np.eye(5)), Tensor(np.zeros(5))
     p = Tensor(rng.standard_normal((4, 5)))
-    assert ad.linear_mse(p, eye, zero, p.data.copy()).item() == 0.0
-    assert ad.linear_mse(p, eye, Tensor(np.ones(5)), p.data).item() == pytest.approx(1.0)
+    assert ad.linear_mse(p, eye, zero, target_pieces(p.data.copy())).item() == 0.0
+    assert ad.linear_mse(p, eye, Tensor(np.ones(5)), target_pieces(p.data)).item() == pytest.approx(1.0)
 
     a = rng.standard_normal((6, 7))
     w = rng.standard_normal((5, 7))
     b = rng.standard_normal(5)
     t = rng.standard_normal((6, 5))
     direct = float(np.mean((a @ w.T + b - t) ** 2))
-    assert abs(ad.linear_mse(Tensor(a), Tensor(w), Tensor(b), t).item() - direct) < 1e-12
+    for rows in (None, 4):
+        loss = ad.linear_mse(Tensor(a), Tensor(w), Tensor(b), target_pieces(t, rows))
+        assert abs(loss.item() - direct) < 1e-12
     with pytest.raises(ShapeMismatch):
-        ad.linear_mse(Tensor(a), Tensor(w), Tensor(b), np.zeros((6, 6)))
+        ad.linear_mse(Tensor(a), Tensor(w), Tensor(b), target_pieces(np.zeros((6, 6))))
     with pytest.raises(ShapeMismatch):
-        ad.linear_mse(Tensor(a), Tensor(w.T.copy()), Tensor(b), t)
+        ad.linear_mse(Tensor(a), Tensor(w.T.copy()), Tensor(b), target_pieces(t))
+
+
+def test_linear_mse_target_pieces_are_slices_that_cover_it_once(rng):
+    h, w, b = (Tensor(rng.standard_normal(shape)) for shape in ((6, 7), (5, 7), (5,)))
+    t = rng.standard_normal((6, 5))
+    for pieces in (
+        target_pieces(t)[:0],  # no piece
+        target_pieces(t, rows=4)[:1],  # rows 4 and 5 left out
+        target_pieces(t, rows=3) + target_pieces(t, rows=3)[:1],  # rows 0-2 twice
+        [(np.arange(6), slice(None), t)],  # a copy, not a view, would be written
+    ):
+        with pytest.raises(ShapeMismatch):
+            ad.linear_mse(h, w, b, pieces)
 
 
 def test_mse_grads(rng):
@@ -274,7 +290,7 @@ def test_mse_grads(rng):
     w = leaf(rng, 3, 4)
     b = leaf(rng, 3)
     t = rng.standard_normal((5, 3))
-    err = gradcheck(lambda: ad.linear_mse(h, w, b, t), [h, w, b], rng=rng)
+    err = gradcheck(lambda: ad.linear_mse(h, w, b, target_pieces(t, rows=2)), [h, w, b], rng=rng)
     assert err < GRAD_TOL
 
 

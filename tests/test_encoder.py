@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,14 +211,74 @@ def test_folded_front_end_matches_two_convs(config, n, batch):
     assert np.max(np.abs(folded - unfolded.data)) < 1e-10
 
 
-def test_front_end_with_grad_is_the_two_convs_bit_for_bit(rng):
+def front_end_grads(front: SincLayer, x: Tensor, g: np.ndarray, run) -> list[np.ndarray]:
+    """The output of run(front, x), then the gradients of sum(output * g) at
+    p_low, p_band, block0's w and b, and at x when it requires one."""
+    leaves = front.parameters() + ([x] if x.requires_grad else [])
+    for leaf in leaves:
+        leaf.grad = None
+    out = run(front, x)
+    assert out.requires_grad
+    ad.sum_(ad.mul(out, Tensor(g))).backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def test_front_end_with_grad_is_the_two_convs_bit_for_bit(rng, monkeypatch):
+    def unpadded_block0():  # sinc stride 1, block0 kernel 1 and so padding 0
+        return EncoderConfig(sinc_filters=8, sinc_kernel=65, block_channels=(8,) + (16,) * 6,
+                             block_kernels=(1,) + (5,) * 6, qrnn_hidden=16, embedding_dim=16)
+
+    cases = [  # config, dtype, batch, samples, x requires grad, im2col budget
+        (EncoderConfig, np.float32, 2, 32000, False, None),  # training: one item per block
+        (EncoderConfig, np.float32, 2, 8005, True, None),
+        (EncoderConfig, np.float64, 2, 8005, False, None),
+        (unpadded_block0, np.float32, 3, 1605, True, None),
+        (unpadded_block0, np.float64, 5, 1600, True, 2 * 1600 * 65),  # sinc blocks of 2, 2 and 1
+    ]
+    for config, dtype, batch, n, x_grad, budget in cases:
+        monkeypatch.setattr(ad, "_COL_BUDGET", budget or ad._COL_BUDGET)
+        enc = Encoder(config(), rng)
+        front = enc.sinc
+        for p in front.parameters():
+            p.data = p.data.astype(dtype)
+        front.b.data = rng.standard_normal(front.b.shape).astype(dtype)
+        x = Tensor(rng.uniform(-0.5, 0.5, (batch, 1, n)).astype(dtype), requires_grad=x_grad)
+        g = rng.standard_normal(two_convs(front, x).shape).astype(dtype)
+        got = front_end_grads(front, x, g, SincLayer.forward)
+        want = front_end_grads(front, x, g, two_convs)
+        assert len(got) == (6 if x_grad else 5)
+        assert got[0].dtype == dtype
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (config.__name__, dtype, batch, n)
+
+
+def test_front_end_backward_holds_no_whole_batch_gradient_of_the_sinc_output(rng):
+    # at the default config and 2 s chunks the vjp runs one item at a time;
+    # the two conv1d vjps it replaces build the (B, 64, T) gradient first.
+    # B=8: at B=4 one item's sinc im2col (251 x T) and gradient (64 x T)
+    # alone outgrow a (4, 64, T) array
     enc = Encoder(EncoderConfig(), rng)
-    x = Tensor(rng.uniform(-0.5, 0.5, (2, 1, 8005)).astype(np.float32))
-    got = enc.sinc.forward(x)
-    want = two_convs(enc.sinc, x)
-    assert got.requires_grad
-    assert got.data.dtype == want.data.dtype == np.float32
-    assert got.data.tobytes() == want.data.tobytes()
+    front = enc.sinc
+    x = Tensor(rng.uniform(-0.5, 0.5, (8, 1, 32000)).astype(np.float32))
+    out = front.forward(x)
+    whole = 8 * front.cfg.sinc_filters * 32000 * out.dtype.itemsize
+    g = rng.standard_normal(out.shape).astype(np.float32)
+
+    def vjp_peak(run):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert vjp_peak(lambda: out._vjp(g)) < whole
+    del out
+    sinc_out = ad.conv1d(x, front.kernels(), padding=front.pad)
+    block0 = ad.conv1d(sinc_out, front.w, front.b, stride=front.conv_stride, padding=front.conv_pad)
+    assert vjp_peak(lambda: sinc_out._vjp(block0._vjp(g)[0])) > whole
 
 
 def test_parameter_names_and_order_are_the_checkpoint_layout():

@@ -4,6 +4,8 @@ import pytest
 from pase.autodiff import Parameter
 from pase.optim import Adam, PolySchedule
 
+from oracles import reference_adam_step, same_bytes
+
 
 def test_poly_schedule_endpoints():
     sched = PolySchedule(lr0=1e-3, total_steps=100, power=1.0)
@@ -72,3 +74,22 @@ def test_adam_moment_shapes_and_unique_names():
     assert adam.v["b"].shape == (5,)
     with pytest.raises(ValueError):
         Adam([a, Parameter("a", np.zeros(1))])
+
+
+def test_adam_steps_equal_the_expression_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (7, 5), "b": (5,), "s": (1,)}
+    params = [Parameter(name, rng.standard_normal(shape)) for name, shape in shapes.items()]
+    want = {p.name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)] for p in params}
+    adam = Adam(params)
+    schedule = PolySchedule(lr0=1e-3, total_steps=3)
+    for step in range(1, 4):
+        for p in params:
+            p.grad = (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
+            p.grad.flat[0] = 0.0  # a zero gradient: m, v and the update start from it
+            reference_adam_step(*want[p.name], p.grad, step, schedule.lr(step - 1))
+        adam.step(schedule.lr(step - 1))
+        for p in params:
+            assert same_bytes(p.data, want[p.name][0]), (step, p.name)
+            assert same_bytes(adam.m[p.name], want[p.name][1]), (step, p.name)
+            assert same_bytes(adam.v[p.name], want[p.name][2]), (step, p.name)

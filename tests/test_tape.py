@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 import pase.autodiff as ad
+import pase.encoder as encoder_module
 from pase.autodiff import Tensor
 from pase.encoder import Encoder, EncoderConfig
 import pase.workers as W
 from pase.workers import WorkerHead
 
-from oracles import reference_batchnorm1d, reference_mse_loss, reference_prelu, same_bytes
+from oracles import (
+    reference_batchnorm1d, reference_fo_pool, reference_mse_loss, reference_prelu, same_bytes,
+    target_pieces,
+)
 
 
 def backward_with(out: Tensor, g: np.ndarray) -> None:
@@ -101,7 +105,8 @@ def test_vjps_leave_g_and_the_parents_data_alone(rng):
         "batchnorm_prelu eval": ad.batchnorm_prelu(x, gamma, beta, alpha, *running, False),
         "prelu": ad.prelu(x, alpha),
         "conv1d": ad.conv1d(x, t(4, 3, 5), t(4), stride=3, padding=2),
-        "linear_mse": ad.linear_mse(flat, w, b, rng.standard_normal((6, 4)).astype(np.float32)),
+        "linear_mse": ad.linear_mse(flat, w, b,
+                                    target_pieces(rng.standard_normal((6, 4)).astype(np.float32))),
     }
     for name, out in outs.items():
         g = rng.standard_normal(out.shape).astype(np.float32)
@@ -204,12 +209,43 @@ def test_linear_mse_equals_linear_then_mse(rng, dtype):
     want_out, mse_vjp = reference_mse_loss(pred.data, target)
     backward_with(pred, mse_vjp(g))
 
-    new = [Tensor(v, requires_grad=True) for v in (h, w, b)]
-    loss = ad.linear_mse(*new, target)
-    assert same_bytes(loss.data, want_out)
-    backward_with(loss, g)
-    for got, want in zip(new, old):
-        assert same_bytes(got.grad, want.grad)
+    by_columns = [(slice(None), slice(0, 2), target[:, :2]),
+                  (slice(None), slice(2, 5), target[:, 2:])]
+    for pieces in (target_pieces(target), target_pieces(target, rows=5), by_columns):
+        new = [Tensor(v, requires_grad=True) for v in (h, w, b)]
+        loss = ad.linear_mse(*new, pieces)
+        assert same_bytes(loss.data, want_out)
+        backward_with(loss, g)
+        for got, want in zip(new, old):
+            assert same_bytes(got.grad, want.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_mse_leaves_the_callers_arrays_unchanged(rng, dtype):
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((12, 7), (5, 7), (5,), (12, 5))]
+    before = [a.copy() for a in arrays]
+    h, w, b, target = arrays
+    params = [Tensor(v, requires_grad=True) for v in (h, w, b)]
+    loss = ad.linear_mse(*params, target_pieces(target, rows=5))
+    loss.backward()
+    assert all(same_bytes(a, want) for a, want in zip(arrays, before))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fo_pool_equals_the_per_step_loop(rng, dtype):
+    z = np.tanh(rng.standard_normal((3, 5, 17))).astype(dtype)
+    f = (1.0 / (1.0 + np.exp(-3.0 * rng.standard_normal((3, 5, 17))))).astype(dtype)
+    f[:, 0, ::4] = 1.0  # a gate that keeps c exactly, and one that forgets it
+    f[:, 1, ::3] = 0.0
+    z[:, 2, ::2] = -0.0  # and +0.0, where 0 - z and -z differ in sign
+    z[:, 3, ::2] = 0.0
+    g = rng.standard_normal(z.shape).astype(dtype)
+    g[:, 4, -5:] = -0.0
+    want = reference_fo_pool(z, f, g)
+
+    out = ad.fo_pool(Tensor(z, requires_grad=True), Tensor(f, requires_grad=True))
+    got = (out.data,) + out._vjp(g)
+    assert all(same_bytes(a, b) for a, b in zip(got, want))
 
 
 def test_constant_mse_target_is_not_kept_by_the_loss(rng):
@@ -217,7 +253,7 @@ def test_constant_mse_target_is_not_kept_by_the_loss(rng):
     w, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(4))
     target = rng.standard_normal((6, 4))
     alive = weakref.ref(target)
-    loss = ad.linear_mse(h, w, b, target)
+    loss = ad.linear_mse(h, w, b, target_pieces(target))
     del target
     assert alive() is None  # freed with the loss node still alive
     assert loss._parents == (h, None, None)
@@ -236,23 +272,23 @@ def tiny_encoder(rng):
 
 def head_on_encoder(rng, monkeypatch):
     """A regression head's loss over a tiny encoder, the head's hidden-layer
-    array, and the output node of the forward pass's first conv (the sinc
-    layer), whose vjp is the last one backward runs."""
+    array, and the output node of the forward pass's front end (the sinc
+    filters and block0's conv), whose vjp is the last conv vjp backward runs."""
     first_conv = []
-    conv1d = ad.conv1d
+    front_end_convs = encoder_module.front_end_convs
 
-    def recording_conv1d(*args, **kwargs):
-        out = conv1d(*args, **kwargs)
-        if not first_conv:
-            first_conv.append(out)
+    def recording_front_end(*args, **kwargs):
+        out = front_end_convs(*args, **kwargs)
+        first_conv.append(out)
         return out
 
-    monkeypatch.setattr(ad, "conv1d", recording_conv1d)
+    monkeypatch.setattr(encoder_module, "front_end_convs", recording_front_end)
     encoder = tiny_encoder(rng)
     head = WorkerHead("head", 8, 5, rng)
     emb = encoder.forward(Tensor(rng.standard_normal((2, 1, 1600)).astype(np.float32)), True)
     hidden = head.hidden(ad.reshape(ad.transpose(emb, (0, 2, 1)), (-1, 8)))
-    loss = ad.linear_mse(hidden, head.w2, head.b2, np.zeros((hidden.shape[0], 5), np.float32))
+    loss = ad.linear_mse(hidden, head.w2, head.b2,
+                         target_pieces(np.zeros((hidden.shape[0], 5), np.float32)))
     params = encoder.parameters() + head.parameters()
     return loss, params, hidden.data, first_conv[0]
 

@@ -299,6 +299,21 @@ def test_pretrain_aborts_on_nonfinite_gradient_before_the_update(micro_corpus, t
     assert not (tmp_path / "out" / "epoch_001.pckp").exists()
 
 
+def test_train_step_releases_every_gradient_after_the_update(micro_corpus, tmp_path, monkeypatch):
+    train_step = T.train_step
+    released = []
+
+    def checking(model, entries, dist, rng, adam, lr, cfg, step):
+        losses = train_step(model, entries, dist, rng, adam, lr, cfg, step)
+        released.append(adam.step_count == step
+                        and all(p.grad is None for p in model.parameters()))
+        return losses
+
+    monkeypatch.setattr(T, "train_step", checking)
+    T.pretrain(micro_train_config(micro_corpus, tmp_path / "out", epochs=2))
+    assert released == [True, True]
+
+
 def test_contaminate_corpus_validates_before_any_output(micro_corpus, tmp_path):
     cfg = micro_train_config(micro_corpus, tmp_path / "ck")
     cfg.distortion.clip.p = 1.5

@@ -178,9 +178,13 @@ def test_target_batch_equals_stacked_transforms(rng, monkeypatch, fewer_frames):
     seen = []
     linear_mse = ad.linear_mse
 
-    def recording(h, w, b, target):
+    def recording(h, w, b, pieces):
+        pieces = list(pieces)
+        target = np.full((h.shape[0], w.shape[0]), np.nan, np.float32)  # a gap stays NaN
+        for rows, cols, values in pieces:
+            target[rows, cols] = values
         seen.append(target)
-        return linear_mse(h, w, b, target)
+        return linear_mse(h, w, b, pieces)
 
     monkeypatch.setattr(ad, "linear_mse", recording)
     for kind in W.REGRESSION_KINDS:
