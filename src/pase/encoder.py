@@ -575,12 +575,6 @@ class Encoder:
         q = self.qrnn.forward(agg)
         return ad.conv1d(q, self.emb_w, self.emb_b)
 
-    def encode(self, samples: np.ndarray) -> np.ndarray:
-        """Eval-mode embedding of one waveform: (T,) -> (T // hop, emb_dim),
-        from a frozen form built for this call, so it reads the current
-        weights."""
-        return self.frozen().encode(samples)
-
     def frozen(self) -> "FrozenEncoder":
         """The inference form of the current weights (see `FrozenEncoder`)."""
         return FrozenEncoder(self)
@@ -617,9 +611,9 @@ class FrozenEncoder:
     projections and the embedding conv.
 
     It is a snapshot: an update of the encoder's weights after
-    `Encoder.frozen()` does not reach it. Its output has the bits of
-    `Encoder.encode` and of the encoder's layers run one by one under
-    `no_grad` in eval mode, which build the same forms per call.
+    `Encoder.frozen()` does not reach it. Its output has the bits of the
+    encoder's layers run one by one under `no_grad` in eval mode, which
+    build the same forms per call.
     """
 
     def __init__(self, encoder: Encoder):

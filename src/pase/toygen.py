@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import Waveform, write_wav
+from .features import SAMPLE_RATE
 from .files import write_file
-
-SAMPLE_RATE = 16000
 
 
 @dataclass(frozen=True)

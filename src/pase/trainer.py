@@ -335,8 +335,9 @@ def pretrain(cfg: TrainConfig) -> str:
 def encode_utterance(encoder: Encoder | FrozenEncoder, samples: np.ndarray,
                      sample_rate: int) -> np.ndarray:
     """Eval-mode embedding of a whole utterance via non-overlapping 2 s
-    windows; an `Encoder` and its `frozen()` form give the same bits. An
-    `Encoder` is frozen once here, not once per window."""
+    windows, each run through `FrozenEncoder.encode`. An `Encoder` is frozen
+    once here for all its windows, so it and its `frozen()` form give the
+    same bits."""
     if isinstance(encoder, Encoder):
         encoder = encoder.frozen()
     hop = encoder.cfg.hop_samples

@@ -5,6 +5,12 @@ deltas and 7-frame context) from the embedding of the distorted input; two
 binary heads discriminate same-sentence from cross-sentence embedding pairs
 at frame (LIM) and chunk (GIM) granularity. Heads are deliberately small:
 one 256-unit hidden layer, nothing configurable beyond the output width.
+
+Every regression target is built by `worker_targets`: one framing and FFT
+of a batch of clean chunks serves all ten kinds. A training step makes one
+such pass and flattens the embedding once for all ten heads
+(`regression_losses`); the target statistics make one pass per block of
+corpus chunks (`TargetStandardizer.fit`).
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import features as F
-from .audio_io import Waveform
 from .autodiff import Parameter, Tensor
 from .checkpoint import STATS_PREFIX
 from .errors import EmptyList, FrameGridMismatch, SingleUtteranceBatch
@@ -28,13 +33,12 @@ STD_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    name: str
+    name: str  # a regression worker's name is its target kind
     kind: str  # regression | lim | gim
-    target_kind: str | None = None
 
 
 def default_roster() -> list[WorkerSpec]:
-    roster = [WorkerSpec(k, "regression", k) for k in REGRESSION_KINDS]
+    roster = [WorkerSpec(k, "regression") for k in REGRESSION_KINDS]
     roster.append(WorkerSpec("lim", "lim"))
     roster.append(WorkerSpec("gim", "gim"))
     return roster
@@ -47,22 +51,36 @@ def target_dim(target_kind: str, sample_rate: int = 16000) -> int:
     return F.FEATURE_DIMS[target_kind] * 3 * F.CONTEXT_FRAMES
 
 
-def _unstacked_target(samples: np.ndarray, target_kind: str, sample_rate: int) -> np.ndarray:
-    """A worker's target before context stacking: the raw samples under each
-    frame for the waveform worker, features + deltas for every other one."""
-    if target_kind == "wave":
-        hop = int(round(F.HOP_SECONDS * sample_rate))
-        n = len(samples) // hop
-        return np.asarray(samples[: n * hop], dtype=np.float64).reshape(n, hop)
-    wave = Waveform(np.asarray(samples, dtype=np.float32), sample_rate)
-    return F.add_deltas(F.extract_feature(wave, target_kind))
+def worker_targets(chunks: list[np.ndarray], kinds,
+                   sample_rate: int = 16000) -> dict[str, np.ndarray]:
+    """The given kinds' targets of equal-length clean chunks before deltas and
+    context, as {kind: (B, frames, dims)}: the raw samples under each frame
+    for the waveform worker, and for every other kind its features, all from
+    one spectral pass over the batch (`features.batch_features`)."""
+    hop = int(round(F.HOP_SECONDS * sample_rate))
+    n = len(chunks[0]) // hop
+    for i, samples in enumerate(chunks):
+        if len(samples) != len(chunks[0]):
+            raise FrameGridMismatch(
+                f"chunk {i} gives {len(samples) // hop} target frames, chunk 0 {n}"
+                f" ({len(samples)} samples against {len(chunks[0])})")
+    batch = np.stack(chunks)
+    out = F.batch_features(np.asarray(batch, dtype=np.float32),
+                           [kind for kind in kinds if kind != "wave"], sample_rate)
+    if "wave" in kinds:
+        out["wave"] = np.asarray(batch[:, : n * hop], dtype=np.float64).reshape(len(chunks), n, hop)
+    return out
 
 
-def _target_rows(target_kind: str, n: int) -> list[np.ndarray]:
-    """Rows of the unstacked target that make each column block of the
-    worker target: the 7-frame context, or the frames themselves for the
-    waveform worker."""
-    return [np.arange(n)] if target_kind == "wave" else F.context_rows(n)
+def _unstacked(kind: str, values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One chunk's worker target before context stacking, from its
+    `worker_targets` row, and the rows of it that make each column block of
+    the worker target: the frames themselves for the waveform worker, and
+    features + deltas over the 7-frame context for every other one."""
+    if kind == "wave":
+        return values, [np.arange(values.shape[0])]
+    values = F.add_deltas(values)
+    return values, F.context_rows(values.shape[0])
 
 
 def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int = 16000) -> np.ndarray:
@@ -71,8 +89,9 @@ def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int =
     The waveform worker predicts the raw samples under each frame; every
     other worker gets features + deltas stacked over a 7-frame context.
     """
-    values = _unstacked_target(samples, target_kind, sample_rate)
-    return values if target_kind == "wave" else F.stack_context(values)
+    row = worker_targets([samples], (target_kind,), sample_rate)[target_kind][0]
+    values, rows = _unstacked(target_kind, row)
+    return np.concatenate([values[r] for r in rows], axis=1)
 
 
 # chunks per spectral pass of the fit; it bounds the fit's memory whatever the corpus size
@@ -94,39 +113,18 @@ def _add_block_sums(block: list[np.ndarray], sample_rate: int, sums: dict, squar
                     counts: dict) -> None:
     """Adds each chunk's worker-target column sums, sums of squares and frame
     count to `sums`, `squares` and `counts`, kind by kind and chunk by chunk,
-    from one spectral pass over the block. Each context block of a sum is
-    taken over the rows of the unstacked target that it repeats, in frame
-    order, so it has the bits of the stacked target's sum. The block's
-    features are freed on return."""
-    batch = np.asarray(np.stack(block), dtype=np.float32)
-    feats = F.batch_features(batch, F.FEATURE_KINDS, sample_rate)
+    from one `worker_targets` pass over the block. Each context block of a
+    sum is taken over the rows of the unstacked target that it repeats, in
+    frame order, so it has the bits of the stacked target's sum. The block's
+    targets are freed on return."""
+    targets = worker_targets(block, REGRESSION_KINDS, sample_rate)
     for kind in REGRESSION_KINDS:
-        for i, samples in enumerate(block):
-            if kind == "wave":
-                values = _unstacked_target(samples, kind, sample_rate)
-            else:
-                values = F.add_deltas(feats[kind][i])
-            rows = _target_rows(kind, values.shape[0])
+        for chunk in targets[kind]:
+            values, rows = _unstacked(kind, chunk)
             sq = values * values
-            sums[kind] += np.concatenate([_rows_sum(values, r) for r in rows])
-            squares[kind] += np.concatenate([_rows_sum(sq, r) for r in rows])
+            sums[kind] += np.concatenate([values[r].sum(axis=0) for r in rows])
+            squares[kind] += np.concatenate([sq[r].sum(axis=0) for r in rows])
             counts[kind] += values.shape[0]
-
-
-def _rows_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """values[rows].sum(axis=0), bit for bit, with no copy when `rows` is a
-    run of consecutive frames followed by repeats of the last one (the
-    context blocks at offsets >= 0): the run is summed as a view, in frame
-    order, and the last frame is then added once per repeat."""
-    n = values.shape[0]
-    start = int(rows[0]) if n else 0
-    if not np.array_equal(rows, np.minimum(np.arange(start, start + n), n - 1)):
-        return values[rows].sum(axis=0)
-    run = values[start:]
-    total = run.sum(axis=0)
-    for _ in range(n - run.shape[0]):
-        total += values[-1]
-    return total
 
 
 class TargetStandardizer:
@@ -203,10 +201,6 @@ class WorkerHead:
     def parameters(self):
         return [self.w1, self.b1, self.alpha, self.w2, self.b2]
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
 
 def _flatten_frames(emb: Tensor, t_keep: int) -> Tensor:
     """(B, C, T) -> (B * t_keep, C), truncating the time axis first."""
@@ -214,6 +208,55 @@ def _flatten_frames(emb: Tensor, t_keep: int) -> Tensor:
     if t > t_keep:
         emb = ad.index(emb, np.s_[:, :, :t_keep])
     return ad.reshape(ad.transpose(emb, (0, 2, 1)), (b * t_keep, c))
+
+
+def _target_pieces(kind: str, values: np.ndarray, t_common: int,
+                   standardizer: TargetStandardizer):
+    """`linear_mse`'s target pieces of one kind, one per chunk, cut to the
+    first `t_common` frames: each chunk's `worker_targets` row, with deltas,
+    standardized straight into a (frames, dim) float32 piece one context
+    block at a time. So neither a float64 context stack nor the whole
+    batch's target is built."""
+    for i, chunk in enumerate(values):
+        unstacked, rows = _unstacked(kind, chunk)
+        w = unstacked.shape[1]
+        piece = np.empty((t_common, w * len(rows)), dtype=np.float32)
+        for j, r in enumerate(rows):
+            cols = slice(j * w, (j + 1) * w)
+            standardizer.transform(kind, unstacked[r[:t_common]], out=piece[:, cols], cols=cols)
+        yield slice(i * t_common, (i + 1) * t_common), slice(None), piece
+
+
+def regression_losses(
+    emb: Tensor,
+    clean_batch: list[np.ndarray],
+    specs: list[WorkerSpec],
+    heads: dict[str, WorkerHead],
+    standardizer: TargetStandardizer,
+    sample_rate: int = 16000,
+) -> dict[str, Tensor]:
+    """Each regression worker's frame-wise MSE between head(embedding) and
+    its standardized clean targets, in the order of `specs`.
+
+    The targets of every kind come from one `worker_targets` pass, and every
+    head reads one flattened embedding, cut to the frames the targets also
+    have. Each kind's targets reach its loss one chunk at a time and are
+    dropped once the loss is built. A head's output layer and the MSE are
+    one op, so no prediction is kept for backward.
+    """
+    targets = worker_targets(clean_batch, [spec.name for spec in specs], sample_rate)
+    t_emb = emb.shape[2]
+    t_tgt = targets[specs[0].name].shape[1]
+    if abs(t_emb - t_tgt) > 1:
+        raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
+    t_common = min(t_emb, t_tgt)
+    flat = _flatten_frames(emb, t_common)
+    out = {}
+    for spec in specs:
+        head = heads[spec.name]
+        pieces = _target_pieces(spec.name, targets.pop(spec.name), t_common, standardizer)
+        out[spec.name] = ad.linear_mse(head.hidden(flat), head.w2, head.b2, pieces)
+    return out
 
 
 def regression_worker_loss(
@@ -224,39 +267,9 @@ def regression_worker_loss(
     standardizer: TargetStandardizer,
     sample_rate: int = 16000,
 ) -> Tensor:
-    """Frame-wise MSE between head(embedding) and standardized clean targets.
-
-    The target reaches the loss one chunk at a time, cut to the frames the
-    embedding also has: `linear_mse` asks for each chunk's piece in turn,
-    and the chunk's features are standardized straight into a (frames, dim)
-    float32 piece, one context block at a time. So neither a float64 context
-    stack nor the whole batch's target is built. The head's output layer
-    and the MSE are one op, so no prediction is kept for backward.
-    """
-    kind = spec.target_kind
-    t_emb = emb.shape[2]
-    first = _unstacked_target(clean_batch[0], kind, sample_rate)
-    t_tgt = first.shape[0]
-    if abs(t_emb - t_tgt) > 1:
-        raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
-    t_common = min(t_emb, t_tgt)
-    width = target_dim(kind, sample_rate)
-
-    def pieces():
-        for i, samples in enumerate(clean_batch):
-            values = first if i == 0 else _unstacked_target(samples, kind, sample_rate)
-            if values.shape[0] != t_tgt:
-                raise FrameGridMismatch(
-                    f"chunk {i} gives {values.shape[0]} target frames, chunk 0 {t_tgt}")
-            piece = np.empty((t_common, width), dtype=np.float32)
-            w = values.shape[1]
-            for j, rows in enumerate(_target_rows(kind, t_tgt)):
-                cols = slice(j * w, (j + 1) * w)
-                standardizer.transform(kind, values[rows[:t_common]], out=piece[:, cols], cols=cols)
-            yield slice(i * t_common, (i + 1) * t_common), slice(None), piece
-
-    h = head.hidden(_flatten_frames(emb, t_common))
-    return ad.linear_mse(h, head.w2, head.b2, pieces())
+    """One regression worker's loss: `regression_losses` of its spec alone."""
+    return regression_losses(emb, clean_batch, [spec], {spec.name: head}, standardizer,
+                             sample_rate)[spec.name]
 
 
 # --- contrastive sampling -------------------------------------------------------
@@ -388,7 +401,7 @@ class WorkerSet:
         self.heads: dict[str, WorkerHead] = {}
         for spec in self.roster:
             if spec.kind == "regression":
-                out_dim = target_dim(spec.target_kind, sample_rate)
+                out_dim = target_dim(spec.name, sample_rate)
                 in_dim = embedding_dim
             else:
                 out_dim = 1
@@ -405,13 +418,8 @@ class WorkerSet:
                standardizer: TargetStandardizer, lim: LimSample, gim: GimSample) -> dict[str, Tensor]:
         """Every worker's loss for one step, in roster order (regression, lim,
         gim), from the given samples: nothing here draws a random number."""
-        out = {}
-        for spec in self.roster:
-            head = self.heads[spec.name]
-            if spec.kind == "lim":
-                out[spec.name] = lim_worker_loss(emb_a, lim, head)
-            elif spec.kind == "gim":
-                out[spec.name] = gim_worker_loss(emb_a, emb_b, gim, head)
-            else:
-                out[spec.name] = regression_worker_loss(emb_a, clean, spec, head, standardizer)
+        regression = [spec for spec in self.roster if spec.kind == "regression"]
+        out = regression_losses(emb_a, clean, regression, self.heads, standardizer)
+        out["lim"] = lim_worker_loss(emb_a, lim, self.heads["lim"])
+        out["gim"] = gim_worker_loss(emb_a, emb_b, gim, self.heads["gim"])
         return out

@@ -10,11 +10,12 @@ from itertools import product
 
 import numpy as np
 
+from pase import autodiff as ad
 from pase import distortion as D
 from pase import features as F
 from pase import rir
 from pase.audio_io import Waveform
-from pase.errors import TooShort, UnphysicalT60
+from pase.errors import FrameGridMismatch, TooShort, UnphysicalT60
 
 
 def naive_conv1d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -589,6 +590,56 @@ def reference_fit_statistics(chunks, sample_rate=16000):
         mean[kind] = m.astype(np.float32)
         std[kind] = np.maximum(np.sqrt(var), 1e-3).astype(np.float32)  # the std floor
     return mean, std
+
+
+# --- regression worker losses: the per-kind path that `workers.regression_losses`
+# replaced, kept as its bitwise oracle ---------------------------------------------
+
+
+def reference_unstacked_target(samples, kind, sample_rate=16000):
+    """One chunk's worker target before context stacking, framed and FFT'd
+    for this kind alone: the raw samples under each frame for the waveform
+    worker, features + deltas for every other one."""
+    if kind == "wave":
+        hop = int(round(F.HOP_SECONDS * sample_rate))
+        n = len(samples) // hop
+        return np.asarray(samples[: n * hop], dtype=np.float64).reshape(n, hop)
+    wave = Waveform(np.asarray(samples, dtype=np.float32), sample_rate)
+    return F.add_deltas(F.extract_feature(wave, kind))
+
+
+def reference_regression_worker_loss(emb, clean_batch, kind, head, standardizer,
+                                     sample_rate=16000):
+    """One regression worker's loss with its own targets and its own
+    flattened embedding, chunk by chunk: each chunk's target computed for
+    this kind alone, the embedding truncated, transposed and reshaped for
+    this head alone."""
+    t_emb = emb.shape[2]
+    first = reference_unstacked_target(clean_batch[0], kind, sample_rate)
+    t_tgt = first.shape[0]
+    if abs(t_emb - t_tgt) > 1:
+        raise FrameGridMismatch(f"embedding {t_emb} frames vs target {t_tgt}")
+    t_common = min(t_emb, t_tgt)
+    rows = [np.arange(t_tgt)] if kind == "wave" else F.context_rows(t_tgt)
+
+    def pieces():
+        for i, samples in enumerate(clean_batch):
+            values = first if i == 0 else reference_unstacked_target(samples, kind, sample_rate)
+            if values.shape[0] != t_tgt:
+                raise FrameGridMismatch(
+                    f"chunk {i} gives {values.shape[0]} target frames, chunk 0 {t_tgt}")
+            w = values.shape[1]
+            piece = np.empty((t_common, w * len(rows)), dtype=np.float32)
+            for j, r in enumerate(rows):
+                cols = slice(j * w, (j + 1) * w)
+                standardizer.transform(kind, values[r[:t_common]], out=piece[:, cols], cols=cols)
+            yield slice(i * t_common, (i + 1) * t_common), slice(None), piece
+
+    b, c, t = emb.shape
+    if t > t_common:
+        emb = ad.index(emb, np.s_[:, :, :t_common])
+    flat = ad.reshape(ad.transpose(emb, (0, 2, 1)), (b * t_common, c))
+    return ad.linear_mse(head.hidden(flat), head.w2, head.b2, pieces())
 
 
 def reference_contaminate(chunk, cfg, rng, speaker_id=None):

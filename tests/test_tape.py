@@ -392,7 +392,7 @@ def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
     with ad.no_grad():
         for spec in regression:
             head = workers.heads[spec.name]
-            frames = min(emb_a.shape[2], W.regression_targets(clean[0], spec.target_kind, sr).shape[0])
+            frames = min(emb_a.shape[2], W.regression_targets(clean[0], spec.name, sr).shape[0])
             flat = W._flatten_frames(Tensor(emb_a.data), frames)
             hidden = ad.prelu(ad.linear(flat, head.w1, head.b1), head.alpha)
             hiddens.append(hidden.data)

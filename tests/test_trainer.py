@@ -101,12 +101,12 @@ def test_pretrain_bitwise_reproducible(micro_corpus, tmp_path):
 def test_checkpoint_round_trip_embeddings(trained, tmp_path, rng):
     model, _ = T.load_model(trained["final"])
     chunk = rng.uniform(-0.5, 0.5, 32000).astype(np.float32)
-    emb_first = model.encoder.encode(chunk)
+    emb_first = model.encoder.frozen().encode(chunk)
 
     again = str(tmp_path / "resaved.pckp")
     T.save_model(again, model)
     model2, _ = T.load_model(again)
-    emb_second = model2.encoder.encode(chunk)
+    emb_second = model2.encoder.frozen().encode(chunk)
     assert np.array_equal(emb_first, emb_second)
 
 
@@ -259,10 +259,10 @@ def test_empty_noise_pool_fails_before_any_output(micro_corpus, tmp_path):
 
 
 def test_pretrain_aborts_on_nonfinite_loss(micro_corpus, tmp_path, monkeypatch):
-    def poisoned(emb, clean, spec, head, standardizer, sample_rate=16000):
-        return Tensor(np.asarray(np.nan, dtype=np.float32))
+    def poisoned(emb, clean, specs, heads, standardizer, sample_rate=16000):
+        return {spec.name: Tensor(np.asarray(np.nan, dtype=np.float32)) for spec in specs}
 
-    monkeypatch.setattr(T.W, "regression_worker_loss", poisoned)
+    monkeypatch.setattr(T.W, "regression_losses", poisoned)
     cfg = micro_train_config(micro_corpus, tmp_path / "out", epochs=1)
     with pytest.raises(NonFiniteLoss):
         T.pretrain(cfg)

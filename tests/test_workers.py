@@ -10,7 +10,7 @@ from pase.autodiff import Tensor
 from pase.distortion import DistortionConfig, contaminate
 from pase.errors import EmptyList, FrameGridMismatch, SingleUtteranceBatch
 
-from oracles import reference_fit_statistics, same_bytes
+from oracles import reference_fit_statistics, reference_regression_worker_loss, same_bytes
 
 SR = 16000
 
@@ -143,7 +143,7 @@ def test_fit_of_no_chunks_is_empty_list():
 def test_worker_head_capacity_is_fixed(rng):
     head = W.WorkerHead("h", 256, 273, rng)
     expected = 256 * 256 + 256 + 256 + 273 * 256 + 273
-    assert head.parameter_count == expected
+    assert sum(p.data.size for p in head.parameters()) == expected
     out = head.forward(Tensor(rng.standard_normal((5, 256)).astype(np.float32)))
     assert out.data.shape == (5, 273)
 
@@ -163,7 +163,7 @@ def test_regression_worker_loss_zero_when_head_matches(rng):
             return Tensor(target.reshape(-1, target.shape[1]).astype(np.float32))
 
     emb = Tensor(rng.standard_normal((1, 256, 200)).astype(np.float32))
-    spec = W.WorkerSpec("mfcc", "regression", "mfcc")
+    spec = W.WorkerSpec("mfcc", "regression")
     loss = W.regression_worker_loss(emb, samples, spec, PerfectHead(), std, SR)
     assert loss.item() == 0.0
 
@@ -194,7 +194,7 @@ def test_target_batch_equals_stacked_transforms(rng, monkeypatch, fewer_frames):
         frames = old.shape[1] - fewer_frames
         emb = Tensor(rng.standard_normal((3, 8, frames)).astype(np.float32))
         head = W.WorkerHead(kind, 8, W.target_dim(kind, SR), rng)
-        spec = W.WorkerSpec(kind, "regression", kind)
+        spec = W.WorkerSpec(kind, "regression")
         W.regression_worker_loss(emb, samples, spec, head, std, SR)
         assert same_bytes(seen[-1], old[:, :frames].reshape(3 * frames, -1)), kind
 
@@ -204,7 +204,7 @@ def test_regression_worker_frame_grid_mismatch(rng):
     std = W.TargetStandardizer(sample_rate=SR)
     std.fit(samples)
     emb = Tensor(rng.standard_normal((1, 256, 150)).astype(np.float32))  # 50 off
-    spec = W.WorkerSpec("mfcc", "regression", "mfcc")
+    spec = W.WorkerSpec("mfcc", "regression")
     head = W.WorkerHead("h", 256, 273, rng)
     with pytest.raises(FrameGridMismatch):
         W.regression_worker_loss(emb, samples, spec, head, std, SR)
@@ -218,7 +218,55 @@ def test_regression_worker_chunks_of_unequal_length(rng, kind):
     emb = Tensor(rng.standard_normal((2, 8, 200)).astype(np.float32))
     head = W.WorkerHead(kind, 8, W.target_dim(kind, SR), rng)
     with pytest.raises(FrameGridMismatch, match="chunk 1 gives 199"):
-        W.regression_worker_loss(emb, samples, W.WorkerSpec(kind, "regression", kind), head, std, SR)
+        W.regression_worker_loss(emb, samples, W.WorkerSpec(kind, "regression"), head, std, SR)
+
+
+
+@pytest.mark.parametrize("extra_frame", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_worker_losses_equal_the_per_kind_path_bitwise(dtype, extra_frame):
+    # WorkerSet.losses scores the ten regression heads from one target pass
+    # and one flattened embedding; the per-kind path computed each head's
+    # targets and flattened the embedding once per head. Every loss, every
+    # parameter gradient and both embeddings' gradients keep their bits.
+    rng = np.random.default_rng(5)
+    b, c, n = 3, 8, 8000
+    clean = [(rng.uniform(-0.5, 0.5, n) * (0.2 + i)).astype(dtype) for i in range(b)]
+    clean[1][:2000] = 0.0  # silence: log floors and zero deltas
+    std = W.TargetStandardizer(sample_rate=SR)
+    std.fit(clean)
+    frames = n // 160 + extra_frame  # one frame more is truncated before the flatten
+    emb_a, emb_b = (rng.standard_normal((b, c, frames)).astype(dtype) for _ in range(2))
+    utts = ["a", "b", "c"]
+    lim = W.lim_sample(utts, frames, rng, per_element=3)
+    gim = W.gim_sample(utts, [0, 1, 2], [3, 4, 5], rng, per_element=2)
+
+    def step(losses_of):
+        workers = W.WorkerSet(c, np.random.default_rng(3), SR)
+        for p in workers.parameters():
+            p.data = p.data.astype(dtype)
+        a = Tensor(emb_a.copy(), requires_grad=True)
+        bb = Tensor(emb_b.copy(), requires_grad=True)
+        losses = losses_of(workers, a, bb)
+        W.total_loss(list(losses.values())).backward()
+        return losses, [p.grad for p in workers.parameters()] + [a.grad, bb.grad]
+
+    def per_kind(workers, a, bb):
+        out = {spec.name: reference_regression_worker_loss(a, clean, spec.name,
+                                                           workers.heads[spec.name], std, SR)
+               for spec in workers.roster if spec.kind == "regression"}
+        out["lim"] = W.lim_worker_loss(a, lim, workers.heads["lim"])
+        out["gim"] = W.gim_worker_loss(a, bb, gim, workers.heads["gim"])
+        return out
+
+    got, got_grads = step(lambda workers, a, bb: workers.losses(a, bb, clean, std, lim, gim))
+    want, want_grads = step(per_kind)
+    assert list(got) == list(want) == [spec.name for spec in W.default_roster()]
+    for name in want:
+        assert same_bytes(got[name].data, want[name].data), name
+    assert len(got_grads) == len(want_grads) == 12 * 5 + 2
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert same_bytes(g, w), i
 
 
 # --- contrastive sampling ----------------------------------------------------------
