@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ CHUNK_SECONDS = 2.0
 
 PCM16 = "pcm16"
 F32 = "f32"
-
-MANIFEST_ROLES = ("clean_speech", "noise", "overlap_speech")
 
 
 @dataclass(frozen=True)
@@ -48,18 +46,6 @@ class ManifestEntry:
     utterance_id: str
     speaker_id: str
     path: str
-
-
-@dataclass
-class CorpusManifest:
-    entries: list[ManifestEntry] = field(default_factory=list)
-    role: str = "clean_speech"
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -151,10 +137,8 @@ def write_wav(wave: Waveform, path: str, encoding: str = F32) -> None:
     write_file(path, (head, payload))
 
 
-def load_manifest(path: str, role: str = "clean_speech") -> CorpusManifest:
+def load_manifest(path: str) -> list[ManifestEntry]:
     """Parse a tab-separated manifest: `utterance_id<TAB>speaker_id<TAB>path`."""
-    if role not in MANIFEST_ROLES:
-        raise ValueError(f"unknown manifest role {role!r}")
     lines = read_file(path).decode("utf-8").splitlines()
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
@@ -169,7 +153,7 @@ def load_manifest(path: str, role: str = "clean_speech") -> CorpusManifest:
             raise DuplicateId(f"{path}:{lineno}: duplicate utterance id {utt!r}")
         seen.add(utt)
         entries.append(ManifestEntry(utt, spk, wav_path))
-    return CorpusManifest(entries=entries, role=role)
+    return entries
 
 
 def chunk_samples(sample_rate: int) -> int:

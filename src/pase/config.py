@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .distortion import DISTORTION_ORDER, DistortionConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError, SingleUtteranceBatch
-from .features import SAMPLE_RATE
 from .files import read_file
 
 
@@ -66,12 +65,6 @@ class TrainConfig:
             raise ConfigError(f"rir_max_order must be >= 0, got {self.rir_max_order}")
         self.distortion.validate()
         self.encoder.validate()
-        if self.encoder.sample_rate != SAMPLE_RATE:
-            # the spectral worker targets' filterbanks are built for one rate
-            raise ConfigError(
-                f"encoder sample_rate is {self.encoder.sample_rate}; "
-                f"the worker targets need {SAMPLE_RATE}"
-            )
 
 
 # the comment written above a key, or above a section and a blank line
@@ -120,8 +113,6 @@ def _set(owner, name: str, index: int | None, value) -> None:
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return " ".join(f"{lo:g}:{hi:g}" for lo, hi in value)
     if isinstance(value, float):
@@ -131,8 +122,6 @@ def _render(value) -> str:
 
 def _parse(section: configparser.SectionProxy, key: str, default):
     """The value of `key` as the type of `default`."""
-    if isinstance(default, bool):
-        return section.getboolean(key)
     text = section[key]
     if isinstance(default, tuple):
         pairs = (token.partition(":") for token in text.split())

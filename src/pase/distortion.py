@@ -6,6 +6,9 @@ decision comes from the caller's Generator and lands in a log with enough
 detail (pool indices, offsets, drawn parameters) that `replay_log`
 reproduces the output exactly; `contaminate` itself draws the whole log
 first and then applies it through `replay_log`.
+
+A distortion is off at p = 0, and then draws nothing: its `enabled` is
+p > 0, read-only, not a setting of its own.
 """
 
 from __future__ import annotations
@@ -40,45 +43,48 @@ DEFAULT_BAND_POOL = ((250.0, 500.0), (500.0, 1000.0), (1000.0, 2000.0),
 DISTORTION_ORDER = ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap")
 
 
+class _Coin:
+    """A distortion is on when its coin can come up: `enabled` is p > 0. One
+    that is off draws nothing from the Generator."""
+
+    @property
+    def enabled(self) -> bool:
+        return self.p > 0
+
+
 @dataclass
-class ReverbSpec:
-    enabled: bool = True
+class ReverbSpec(_Coin):
     p: float = 0.5
     rir_pool: list[ImpulseResponse] = field(default_factory=list)
 
 
 @dataclass
-class NoiseSpec:
-    enabled: bool = True
+class NoiseSpec(_Coin):
     p: float = 0.4
     snr_range_db: tuple[float, float] = (0.0, 10.0)
     noise_pool: list[Waveform] = field(default_factory=list)
 
 
 @dataclass
-class FreqMaskSpec:
-    enabled: bool = True
+class FreqMaskSpec(_Coin):
     p: float = 0.4
     band_pool: tuple = DEFAULT_BAND_POOL
 
 
 @dataclass
-class TemporalMaskSpec:
-    enabled: bool = True
+class TemporalMaskSpec(_Coin):
     p: float = 0.2
     max_fraction: float = 0.25
 
 
 @dataclass
-class ClipSpec:
-    enabled: bool = True
+class ClipSpec(_Coin):
     p: float = 0.2
     saturation_range: tuple[float, float] = (0.3, 0.9)
 
 
 @dataclass
-class OverlapSpec:
-    enabled: bool = True
+class OverlapSpec(_Coin):
     p: float = 0.1
     gain_range_db: tuple[float, float] = (3.0, 15.0)
     # entries are (waveform, speaker_id) so same-speaker overlap can be excluded
@@ -218,13 +224,13 @@ def apply_overlap(wave: Waveform, other: Waveform, gain_db: float) -> Waveform:
 
 
 def _check_pools(cfg: DistortionConfig, speaker_id: str | None) -> None:
-    if cfg.reverb.enabled and cfg.reverb.p > 0 and not cfg.reverb.rir_pool:
+    if cfg.reverb.enabled and not cfg.reverb.rir_pool:
         raise EmptyPool("reverb enabled with empty rir pool")
-    if cfg.noise.enabled and cfg.noise.p > 0 and not cfg.noise.noise_pool:
+    if cfg.noise.enabled and not cfg.noise.noise_pool:
         raise EmptyPool("noise enabled with empty noise pool")
-    if cfg.freq_mask.enabled and cfg.freq_mask.p > 0 and not cfg.freq_mask.band_pool:
+    if cfg.freq_mask.enabled and not cfg.freq_mask.band_pool:
         raise EmptyPool("freq_mask enabled with empty band pool")
-    if cfg.overlap.enabled and cfg.overlap.p > 0:
+    if cfg.overlap.enabled:
         pool = cfg.overlap.speech_pool
         if not pool:
             raise EmptyPool("overlap enabled with empty speech pool")
@@ -240,9 +246,10 @@ def contaminate(
 ) -> tuple[Waveform, list[dict]]:
     """Distort one chunk; returns the result and a replayable log.
 
-    Each distortion fires on an independent Bernoulli(p) draw, parameters come
-    uniformly from the configured ranges, and the overlap draw excludes
-    `speaker_id` when given. The caller keeps the clean chunk for targets.
+    Each distortion fires on an independent Bernoulli(p) draw, made only
+    when p > 0, parameters come uniformly from the configured ranges, and
+    the overlap draw excludes `speaker_id` when given. The caller keeps the
+    clean chunk for targets.
     """
     cfg.validate()
     _check_pools(cfg, speaker_id)

@@ -3,6 +3,11 @@ with batch norm + PReLU, projected skip connections summed into the output,
 and a single causal QRNN layer, producing 256-dim embeddings every 10 ms.
 Block0's conv belongs to the front end (`SincLayer`).
 
+The encoder runs on 16 kHz audio only (`features.SAMPLE_RATE`). What no
+config varies is a module constant: the sinc conv's stride of 1, its lowest
+cutoff and narrowest band, and the QRNN's kernel. A checkpoint's meta still
+records each of them, and a checkpoint whose meta differs does not load.
+
 `Encoder.frozen()` builds the inference form once: the front end's two convs
 composed into one, batch norm folded into each block and the QRNN gates as
 one conv. Under `no_grad` in eval mode every layer's `forward` builds its
@@ -11,52 +16,60 @@ part of that form and runs it, so the two agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ConfigError, ShapeMismatch, TooShort
-from .features import hz_to_mel, mel_to_hz
+from .features import SAMPLE_RATE, hz_to_mel, mel_to_hz
 
 EMBEDDING_DIM = 256
+QRNN_KERNEL = 2  # the QRNN gates' causal conv sees frames t-1 and t
+SINC_MIN_LOW_HZ = 30.0  # the sinc filters' lowest cutoff
+SINC_MIN_BAND_HZ = 50.0  # and narrowest band
+
+# what a checkpoint's meta records beside the config's fields: the sinc conv
+# runs at stride 1 on SAMPLE_RATE audio, with the constants above
+_FIXED_META = {"sample_rate": SAMPLE_RATE, "sinc_stride": 1, "qrnn_kernel": QRNN_KERNEL,
+               "sinc_min_low_hz": SINC_MIN_LOW_HZ, "sinc_min_band_hz": SINC_MIN_BAND_HZ}
 
 
 @dataclass
 class EncoderConfig:
-    sample_rate: int = 16000
     sinc_filters: int = 64
     sinc_kernel: int = 251
-    sinc_stride: int = 1
     block_channels: tuple = (64, 128, 128, 256, 256, 256, 256)
     block_kernels: tuple = (21, 11, 11, 11, 11, 11, 11)
     block_strides: tuple = (10, 2, 2, 2, 2, 1, 1)
     qrnn_hidden: int = 256
-    qrnn_kernel: int = 2
     embedding_dim: int = EMBEDDING_DIM
-    sinc_min_low_hz: float = 30.0
-    sinc_min_band_hz: float = 50.0
+
+    @property
+    def sample_rate(self) -> int:
+        """The one rate the encoder runs at, `features.SAMPLE_RATE`."""
+        return SAMPLE_RATE
 
     @property
     def hop_samples(self) -> int:
-        hop = self.sinc_stride
-        for s in self.block_strides:
-            hop *= s
-        return hop
+        return math.prod(self.block_strides)
 
     def validate(self) -> None:
         if not (len(self.block_channels) == len(self.block_kernels) == len(self.block_strides)):
             raise ConfigError("block_channels, block_kernels and block_strides differ in length")
-        want = self.sample_rate // 100  # one frame per 10 ms
+        want = SAMPLE_RATE // 100  # one frame per 10 ms
         if self.hop_samples != want:
             raise ConfigError(
-                f"sinc_stride times the block_strides is {self.hop_samples}, "
-                f"not the {want}-sample hop at sample_rate {self.sample_rate}"
+                f"the block_strides' product is {self.hop_samples}, "
+                f"not the {want}-sample hop at {SAMPLE_RATE} Hz"
             )
 
     def to_meta(self) -> dict:
-        meta = {}
+        meta = {name: str(value) for name, value in _FIXED_META.items()}
         for f in fields(self):
             value = getattr(self, f.name)
             meta[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
@@ -64,8 +77,9 @@ class EncoderConfig:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "EncoderConfig":
-        """The validated config `to_meta` wrote; a missing or unparsable key
-        raises `ConfigError` naming it."""
+        """The validated config `to_meta` wrote; a missing or unparsable key,
+        or a fixed key with a value other than this encoder's, raises
+        `ConfigError` naming it."""
 
         def parse(name: str, default):
             if name not in meta:
@@ -77,36 +91,33 @@ class EncoderConfig:
             except ValueError as exc:
                 raise ConfigError(f"encoder key {name}: {exc}") from None
 
+        for name, value in _FIXED_META.items():
+            if parse(name, value) != value:
+                raise ConfigError(f"encoder key {name} is {meta[name]}; the encoder needs {value}")
         cfg = cls(**{f.name: parse(f.name, f.default) for f in fields(cls)})
         cfg.validate()
         return cfg
 
 
-def _sinc_cutoffs(p_low, p_band, sample_rate, min_low_hz, min_band_hz):
+def _sinc_cutoffs(p_low, p_band):
     """The sinc layer's band edges from its unconstrained parameters.
 
-    f1 = min_low + |p_low| and f2 = f1 + min_band + |p_band|, both capped
-    below Nyquist, so 0 < f1 < f2 < fs/2 for any parameter values. The map
-    runs in float64 so the minimum bandwidth holds exactly. Returns f1, f2
-    and, for the gradient, whether each raw value was below its cap.
+    f1 = SINC_MIN_LOW_HZ + |p_low| and f2 = f1 + SINC_MIN_BAND_HZ + |p_band|,
+    both capped below Nyquist, so 0 < f1 < f2 < fs/2 for any parameter
+    values. The map runs in float64 so the minimum bandwidth holds exactly.
+    Returns f1, f2 and, for the gradient, whether each raw value was below
+    its cap.
     """
-    cap_hi = sample_rate / 2.0 - 1.0
-    cap_lo = cap_hi - min_band_hz
-    f1_raw = min_low_hz + np.abs(p_low.astype(np.float64))
+    cap_hi = SAMPLE_RATE / 2.0 - 1.0
+    cap_lo = cap_hi - SINC_MIN_BAND_HZ
+    f1_raw = SINC_MIN_LOW_HZ + np.abs(p_low.astype(np.float64))
     f1 = np.minimum(f1_raw, cap_lo)
-    f2_raw = f1 + min_band_hz + np.abs(p_band.astype(np.float64))
+    f2_raw = f1 + SINC_MIN_BAND_HZ + np.abs(p_band.astype(np.float64))
     f2 = np.minimum(f2_raw, cap_hi)
     return f1, f2, f1_raw < cap_lo, f2_raw < cap_hi
 
 
-def sinc_bandpass_kernels(
-    p_low: Tensor,
-    p_band: Tensor,
-    kernel_size: int,
-    sample_rate: int,
-    min_low_hz: float,
-    min_band_hz: float,
-) -> Tensor:
+def sinc_bandpass_kernels(p_low: Tensor, p_band: Tensor, kernel_size: int) -> Tensor:
     """Realize band-pass FIR kernels from unconstrained cutoff parameters.
 
     The band edges come from `_sinc_cutoffs`, so 0 < f1 < f2 < fs/2 for any
@@ -114,10 +125,8 @@ def sinc_bandpass_kernels(
     low-passes; the gradient w.r.t. the cutoffs is analytic (d/df of
     f*sinc(2fm/fs) is cos(2*pi*f*m/fs)).
     """
-    fs = float(sample_rate)
-    f1, f2, f1_uncapped, f2_uncapped = _sinc_cutoffs(
-        p_low.data, p_band.data, sample_rate, min_low_hz, min_band_hz
-    )
+    fs = float(SAMPLE_RATE)
+    f1, f2, f1_uncapped, f2_uncapped = _sinc_cutoffs(p_low.data, p_band.data)
 
     m = (np.arange(kernel_size) - (kernel_size - 1) / 2.0)[None, :]  # (1, K)
     window = np.hamming(kernel_size)[None, :]
@@ -142,10 +151,10 @@ def sinc_bandpass_kernels(
     return ad._from_op(out, (p_low, p_band), vjp)
 
 
-def front_end_convs(x: Tensor, kernels: Tensor, w: Tensor, b: Tensor, sinc_stride: int,
-                    sinc_pad: int, stride: int, pad: int) -> Tensor:
-    """Block0's conv (w, b) of the sinc conv (kernels) of the waveform x, as
-    one op: (B, 1, T) -> (B, O, T').
+def front_end_convs(x: Tensor, kernels: Tensor, w: Tensor, b: Tensor, sinc_pad: int,
+                    stride: int, pad: int) -> Tensor:
+    """Block0's conv (w, b) of the stride-1 sinc conv (kernels) of the
+    waveform x, as one op: (B, 1, T) -> (B, O, T').
 
     The forward runs the two whole-batch convs and keeps the sinc output,
     which block0's dW reads. The vjp walks the batch in each conv's im2col
@@ -157,7 +166,7 @@ def front_end_convs(x: Tensor, kernels: Tensor, w: Tensor, b: Tensor, sinc_strid
     two `ad.conv1d` calls, whose vjp runs the same blocks.
     """
     with ad.no_grad():
-        h = ad.conv1d(x, kernels, stride=sinc_stride, padding=sinc_pad).data
+        h = ad.conv1d(x, kernels, padding=sinc_pad).data
         out = ad.conv1d(Tensor(h), w, b, stride=stride, padding=pad).data
     n_items, channels, t_h = h.shape
     k_sinc, k0 = kernels.shape[2], w.shape[2]
@@ -176,13 +185,13 @@ def front_end_convs(x: Tensor, kernels: Tensor, w: Tensor, b: Tensor, sinc_strid
             for lo, hi in blocks(g.shape[2], channels, k0):
                 ad._conv1d_vjp_block(h[lo:hi], wm, g[lo:hi], k0, stride, pad, dw, None)
         dk = np.zeros_like(km) if need_k else None
-        dxp = ad._dx_buffer(x.data, n_items, sinc_stride, sinc_pad) if need_x else None
+        dxp = ad._dx_buffer(x.data, n_items, 1, sinc_pad) if need_x else None
         if need_k or need_x:
             for lo, hi in blocks(t_h, 1, k_sinc):
                 dhp = ad._dx_buffer(h, hi - lo, stride, pad)
                 ad._conv1d_vjp_block(h[lo:hi], wm, g[lo:hi], k0, stride, pad, None, dhp)
                 ad._conv1d_vjp_block(x.data[lo:hi], km, ad._dx_of(dhp, pad, t_h), k_sinc,
-                                     sinc_stride, sinc_pad, dk, dxp[lo:hi] if need_x else None)
+                                     1, sinc_pad, dk, dxp[lo:hi] if need_x else None)
         return (
             ad._dx_of(dxp, sinc_pad, x.shape[2]) if need_x else None,
             dk.reshape(kernels.shape) if need_k else None,
@@ -208,16 +217,16 @@ class SincLayer:
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, prefix: str):
         self.cfg = cfg
         n = cfg.sinc_filters
-        nyquist = cfg.sample_rate / 2.0
+        nyquist = SAMPLE_RATE / 2.0
         # mel-spaced initial cutoffs across the usable band
         hz = mel_to_hz(np.linspace(
-            hz_to_mel(cfg.sinc_min_low_hz), hz_to_mel(nyquist - 200.0), n + 1
+            hz_to_mel(SINC_MIN_LOW_HZ), hz_to_mel(nyquist - 200.0), n + 1
         ))
         f1 = hz[:-1]
         band = np.diff(hz)
-        self.p_low = Parameter(f"{prefix}/sinc/p_low", f1 - cfg.sinc_min_low_hz)
+        self.p_low = Parameter(f"{prefix}/sinc/p_low", f1 - SINC_MIN_LOW_HZ)
         self.p_band = Parameter(
-            f"{prefix}/sinc/p_band", np.maximum(band - cfg.sinc_min_band_hz, 0.0)
+            f"{prefix}/sinc/p_band", np.maximum(band - SINC_MIN_BAND_HZ, 0.0)
         )
         ch, k = cfg.block_channels[0], cfg.block_kernels[0]
         self.w = Parameter(f"{prefix}/block0/conv/w", _he_conv(rng, ch, n, k))
@@ -227,29 +236,18 @@ class SincLayer:
         self.conv_pad = (k - 1) // 2
 
     def cutoffs(self) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.cfg
-        f1, f2, _, _ = _sinc_cutoffs(
-            self.p_low.data, self.p_band.data,
-            cfg.sample_rate, cfg.sinc_min_low_hz, cfg.sinc_min_band_hz,
-        )
+        f1, f2, _, _ = _sinc_cutoffs(self.p_low.data, self.p_band.data)
         return f1, f2
 
     def kernels(self) -> Tensor:
-        return sinc_bandpass_kernels(
-            self.p_low,
-            self.p_band,
-            self.cfg.sinc_kernel,
-            self.cfg.sample_rate,
-            self.cfg.sinc_min_low_hz,
-            self.cfg.sinc_min_band_hz,
-        )
+        return sinc_bandpass_kernels(self.p_low, self.p_band, self.cfg.sinc_kernel)
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, 1, T) waveform -> block0's conv output, before batch norm."""
         if not ad.grad_enabled():
             return self.frozen()(x)
-        return front_end_convs(x, self.kernels(), self.w, self.b, self.cfg.sinc_stride, self.pad,
-                               self.conv_stride, self.conv_pad)
+        return front_end_convs(x, self.kernels(), self.w, self.b, self.pad, self.conv_stride,
+                               self.conv_pad)
 
     def frozen(self) -> "FrozenFrontEnd":
         return FrozenFrontEnd(self)
@@ -260,8 +258,8 @@ class SincLayer:
 
 class FrozenFrontEnd:
     """A snapshot of the front end's weights with both convs composed into
-    one: W_eff[o, s0*j + i] = sum_c w[o, c, j] * sinc[c, i], composed in
-    float64, run with stride s0*s1 and padding p_sinc + s0*p0.
+    one: W_eff[o, j + i] = sum_c w[o, c, j] * sinc[c, i], composed in
+    float64, run with block0's stride and padding p_sinc + p0.
 
     Block0 zero-pads the sinc output, while the composed conv sees the sinc
     of the zero-padded waveform there; the frames whose window reaches past
@@ -271,28 +269,27 @@ class FrozenFrontEnd:
     """
 
     def __init__(self, layer: SincLayer):
-        self.s0, self.s1 = layer.cfg.sinc_stride, layer.conv_stride
-        self.pad, self.conv_pad = layer.pad, layer.conv_pad
+        self.stride, self.pad, self.conv_pad = layer.conv_stride, layer.pad, layer.conv_pad
         with ad.no_grad():
             self.sinc = layer.kernels()
         self.w, self.b = _snapshot(layer.w), _snapshot(layer.b)
-        s0, k_sinc, k0 = self.s0, self.sinc.shape[2], self.w.shape[2]
+        k_sinc, k0 = self.sinc.shape[2], self.w.shape[2]
         taps = self.sinc.data[:, 0, :].astype(np.float64)
         w = self.w.data.astype(np.float64)
-        w_eff = np.zeros((self.w.shape[0], 1, k_sinc + s0 * (k0 - 1)))
+        w_eff = np.zeros((self.w.shape[0], 1, k_sinc + k0 - 1))
         for j in range(k0):
-            w_eff[:, 0, s0 * j : s0 * j + k_sinc] += w[:, :, j] @ taps
+            w_eff[:, 0, j : j + k_sinc] += w[:, :, j] @ taps
         self.w_eff = Tensor(w_eff.astype(np.result_type(self.sinc.data, self.w.data)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        s0, s1 = self.s0, self.s1
+        stride = self.stride
         k_sinc, k0 = self.sinc.shape[2], self.w.shape[2]
-        out = ad.conv1d(x, self.w_eff, self.b, stride=s0 * s1,
-                        padding=self.pad + s0 * self.conv_pad)
-        t_sinc = (x.shape[2] + 2 * self.pad - k_sinc) // s0 + 1
+        out = ad.conv1d(x, self.w_eff, self.b, stride=stride, padding=self.pad + self.conv_pad)
+        t_sinc = x.shape[2] + 2 * self.pad - k_sinc + 1
         t_out = out.shape[2]
-        first = min(t_out, -(-self.conv_pad // s1))  # frames [0, first) read the left pad
-        last = max(first, -(-(t_sinc - k0 + 1 + self.conv_pad) // s1))  # [last, t_out) the right
+        # frames [0, first) read the left pad, frames [last, t_out) the right
+        first = min(t_out, -(-self.conv_pad // stride))
+        last = max(first, -(-(t_sinc - k0 + 1 + self.conv_pad) // stride))
         for lo, hi in ((0, first), (last, t_out)):
             if lo < hi:
                 out.data[:, :, lo:hi] = self._two_conv_frames(x, t_sinc, lo, hi)
@@ -302,18 +299,18 @@ class FrozenFrontEnd:
         """Block0's output frames lo..hi-1 by the two convs, computing only
         the sinc outputs n0..n1-1 they read (block0's zero padding outside
         0..t_sinc-1)."""
-        s0, s1 = self.s0, self.s1
+        stride = self.stride
         k_sinc, k0, t_in = self.sinc.shape[2], self.w.shape[2], x.shape[2]
-        n0 = s1 * lo - self.conv_pad
-        n1 = s1 * (hi - 1) + k0 - self.conv_pad
+        n0 = stride * lo - self.conv_pad
+        n1 = stride * (hi - 1) + k0 - self.conv_pad
         a, b = max(n0, 0), min(n1, t_sinc)
-        start = s0 * a - self.pad  # the waveform samples sinc outputs a..b-1 read
-        stop = s0 * (b - 1) + k_sinc - self.pad
+        start = a - self.pad  # the waveform samples sinc outputs a..b-1 read
+        stop = b - 1 + k_sinc - self.pad
         seg = np.pad(x.data[:, :, max(start, 0) : min(stop, t_in)],
                      ((0, 0), (0, 0), (max(0, -start), max(0, stop - t_in))))
-        h = ad.conv1d(Tensor(seg), self.sinc, stride=s0).data
+        h = ad.conv1d(Tensor(seg), self.sinc).data
         h = np.pad(h, ((0, 0), (0, 0), (a - n0, n1 - b)))
-        return ad.conv1d(Tensor(h), self.w, self.b, stride=s1).data
+        return ad.conv1d(Tensor(h), self.w, self.b, stride=stride).data
 
 
 def _snapshot(p: Tensor) -> Tensor:
@@ -476,16 +473,18 @@ def _project_and_sum(projections: list, block_outputs: list[Tensor], strides: li
 
 
 class QRNNLayer:
-    """Convolutional gates over time plus the sequential forget-gate pooling."""
+    """Convolutional gates over time plus the sequential forget-gate pooling.
 
-    def __init__(self, in_ch, hidden, kernel, rng, prefix):
-        self.kernel = kernel
-        scale = np.sqrt(1.0 / (in_ch * kernel))
+    The gates are causal convs of QRNN_KERNEL frames; the causal pad is read
+    off the weights' width."""
+
+    def __init__(self, in_ch, hidden, rng, prefix):
+        scale = np.sqrt(1.0 / (in_ch * QRNN_KERNEL))
 
         def w(name):
             return Parameter(
                 f"{prefix}/{name}/w",
-                (rng.standard_normal((hidden, in_ch, kernel)) * scale).astype(np.float32),
+                (rng.standard_normal((hidden, in_ch, QRNN_KERNEL)) * scale).astype(np.float32),
             )
 
         self.w_z, self.b_z = w("z"), Parameter(f"{prefix}/z/b", np.zeros(hidden, dtype=np.float32))
@@ -503,11 +502,10 @@ class QRNNLayer:
         return FrozenQRNN(
             np.concatenate([self.w_z.data, self.w_f.data, self.w_o.data]),
             np.concatenate([self.b_z.data, self.b_f.data, self.b_o.data]),
-            self.kernel,
         )
 
     def gates(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        xp = ad.pad1d(x, self.kernel - 1, 0)  # causal: gates at t see x_{<=t}
+        xp = ad.pad1d(x, self.w_z.shape[2] - 1, 0)  # causal: gates at t see x_{<=t}
         return (
             ad.tanh(ad.conv1d(xp, self.w_z, self.b_z)),
             ad.sigmoid(ad.conv1d(xp, self.w_f, self.b_f)),
@@ -521,11 +519,11 @@ class QRNNLayer:
 class FrozenQRNN:
     """The QRNN layer with its three gate convs run as one."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, kernel: int):
-        self.w, self.b, self.kernel = Tensor(w), Tensor(b), kernel
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b = Tensor(w), Tensor(b)
 
     def __call__(self, x: Tensor) -> Tensor:
-        xp = ad.pad1d(x, self.kernel - 1, 0)  # causal: gates at t see x_{<=t}
+        xp = ad.pad1d(x, self.w.shape[2] - 1, 0)  # causal: gates at t see x_{<=t}
         gates = ad.conv1d(xp, self.w, self.b).data
         hidden = gates.shape[1] // 3
         z = ad.tanh(Tensor(gates[:, :hidden]))
@@ -546,19 +544,15 @@ class Encoder:
                 cfg.block_strides[i], rng, f"encoder/block{i}",
             ))
         self.skip = SkipAggregate(cfg.block_channels, cfg.embedding_dim, rng, "encoder/skip")
-        self.qrnn = QRNNLayer(cfg.embedding_dim, cfg.qrnn_hidden, cfg.qrnn_kernel, rng, "encoder/qrnn")
+        self.qrnn = QRNNLayer(cfg.embedding_dim, cfg.qrnn_hidden, rng, "encoder/qrnn")
         self.emb_w = Parameter(
             "encoder/emb/w", _he_conv(rng, cfg.embedding_dim, cfg.qrnn_hidden, 1)
         )
         self.emb_b = Parameter("encoder/emb/b", np.zeros(cfg.embedding_dim, dtype=np.float32))
 
         # cumulative stride after each block, for skip-path downsampling
-        cum_strides = []
-        acc = cfg.sinc_stride
-        for s in cfg.block_strides:
-            acc *= s
-            cum_strides.append(acc)
-        self.skip_selects = [cfg.hop_samples // s for s in cum_strides]
+        self.skip_selects = [cfg.hop_samples // s
+                             for s in accumulate(cfg.block_strides, mul)]
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         """(B, 1, T) waveform batch -> (B, emb_dim, T // hop) embeddings.

@@ -284,6 +284,13 @@ def stack_context(values: np.ndarray) -> np.ndarray:
 
 # --- every kind of a batch from one spectral pass ------------------------------------
 
+
+def require_rate(sample_rate: int, what: str) -> None:
+    """Raises `SampleRateMismatch` naming `what` unless `sample_rate` is SAMPLE_RATE."""
+    if sample_rate != SAMPLE_RATE:
+        raise SampleRateMismatch(f"{what} need {SAMPLE_RATE} Hz input, got {sample_rate} Hz")
+
+
 # number of 25 ms sub-windows on the 10 ms grid covered by one 200 ms window
 _LONG_SEGMENTS = int((LONG_WINDOW_SECONDS - SHORT_WINDOW_SECONDS) / HOP_SECONDS) + 1
 
@@ -304,10 +311,8 @@ def batch_features(batch: np.ndarray, kinds, sample_rate: int = SAMPLE_RATE) -> 
     spectral = [kind for kind in kinds if kind != "prosody"]
     win = int(round(SHORT_WINDOW_SECONDS * sample_rate))
     hop = int(round(HOP_SECONDS * sample_rate))
-    if spectral and sample_rate != SAMPLE_RATE:
-        raise SampleRateMismatch(
-            f"spectral features need {SAMPLE_RATE} Hz input, got {sample_rate} Hz"
-        )
+    if spectral:
+        require_rate(sample_rate, "spectral features")
     if spectral and batch.shape[1] < win:
         raise TooShort(f"signal of {batch.shape[1]} samples shorter than window {win}")
     out = {}

@@ -38,7 +38,7 @@ from .errors import (
     NonFiniteLoss,
     SampleRateMismatch,
 )
-from .features import HOP_SECONDS, write_pfea
+from .features import HOP_SECONDS, SAMPLE_RATE, require_rate, write_pfea
 from .files import write_file
 from .optim import Adam, PolySchedule
 from .rir import default_rir_pool
@@ -54,14 +54,15 @@ class CorpusEntry:
 
 
 def load_corpus(manifest_path: str, role: str, sample_rate: int) -> list[CorpusEntry]:
-    manifest = load_manifest(manifest_path, role=role)
+    """The manifest's utterances, each of which must be at `sample_rate`;
+    `role` names the corpus in the error."""
     entries = []
-    for row in manifest:
+    for row in load_manifest(manifest_path):
         wave = read_wav(row.path)
         if wave.sample_rate != sample_rate:
             raise SampleRateMismatch(
-                f"{row.path}: {wave.sample_rate} Hz; the trainer only accepts "
-                f"{sample_rate} Hz input (resampling is out of scope)"
+                f"{row.path}: {wave.sample_rate} Hz in the {role} manifest; the trainer "
+                f"only accepts {sample_rate} Hz input (resampling is out of scope)"
             )
         entries.append(CorpusEntry(row.utterance_id, row.speaker_id, wave))
     return entries
@@ -85,9 +86,8 @@ class Model:
 
 def build_model(enc_cfg: EncoderConfig, rng: np.random.Generator) -> Model:
     encoder = Encoder(enc_cfg, rng)
-    workers = W.WorkerSet(enc_cfg.embedding_dim, rng, enc_cfg.sample_rate)
-    standardizer = W.TargetStandardizer(sample_rate=enc_cfg.sample_rate)
-    return Model(encoder, workers, standardizer, enc_cfg)
+    workers = W.WorkerSet(enc_cfg.embedding_dim, rng)
+    return Model(encoder, workers, W.TargetStandardizer(), enc_cfg)
 
 
 def model_meta(model: Model) -> dict[str, str]:
@@ -182,17 +182,16 @@ def _with_pools(cfg: TrainConfig, corpus: list[CorpusEntry], rng) -> DistortionC
     run from the same state. An out-of-range distortion setting raises
     `ConfigError`, and an active distortion whose pool is still empty raises
     `EmptyPool`, here, before any output is written."""
-    sample_rate = cfg.encoder.sample_rate
     dist = cfg.distortion
     dist.validate()
     reverb, noise, overlap = replace(dist.reverb), replace(dist.noise), replace(dist.overlap)
-    if reverb.enabled and reverb.p > 0:
-        reverb.rir_pool = default_rir_pool(rng, cfg.rir_count, cfg.rir_max_order, sample_rate)
-    if noise.enabled and noise.p > 0 and cfg.noise_manifest:
-        noise.noise_pool = [e.wave for e in load_corpus(cfg.noise_manifest, "noise", sample_rate)]
-    if overlap.enabled and overlap.p > 0:
+    if reverb.enabled:
+        reverb.rir_pool = default_rir_pool(rng, cfg.rir_count, cfg.rir_max_order, SAMPLE_RATE)
+    if noise.enabled and cfg.noise_manifest:
+        noise.noise_pool = [e.wave for e in load_corpus(cfg.noise_manifest, "noise", SAMPLE_RATE)]
+    if overlap.enabled:
         overlap_corpus = (
-            load_corpus(cfg.overlap_manifest, "overlap_speech", sample_rate)
+            load_corpus(cfg.overlap_manifest, "overlap_speech", SAMPLE_RATE)
             if cfg.overlap_manifest
             else corpus
         )
@@ -279,8 +278,7 @@ def train_step(model: Model, entries: list[CorpusEntry], dist: DistortionConfig,
 def pretrain(cfg: TrainConfig) -> str:
     """Run self-supervised pretraining; returns the final checkpoint path."""
     cfg.validate()
-    sample_rate = cfg.encoder.sample_rate
-    corpus = load_corpus(cfg.clean_manifest, "clean_speech", sample_rate)
+    corpus = load_corpus(cfg.clean_manifest, "clean_speech", SAMPLE_RATE)
     if len(corpus) < 2:
         raise EmptyCorpus(f"need >= 2 utterances, got {len(corpus)}")
 
@@ -290,7 +288,7 @@ def pretrain(cfg: TrainConfig) -> str:
     model = build_model(cfg.encoder, rng)
     log.info("fitting target statistics over %d utterances", len(corpus))
     model.standardizer.fit(
-        _stats_chunks(corpus, cfg.stats_chunks_per_utterance, sample_rate)
+        _stats_chunks(corpus, cfg.stats_chunks_per_utterance, SAMPLE_RATE)
     )
 
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
@@ -334,14 +332,16 @@ def pretrain(cfg: TrainConfig) -> str:
 
 def encode_utterance(encoder: Encoder | FrozenEncoder, samples: np.ndarray,
                      sample_rate: int) -> np.ndarray:
-    """Eval-mode embedding of a whole utterance via non-overlapping 2 s
-    windows, each run through `FrozenEncoder.encode`. An `Encoder` is frozen
-    once here for all its windows, so it and its `frozen()` form give the
-    same bits."""
+    """Eval-mode embedding of a whole 16 kHz utterance via non-overlapping
+    2 s windows, each run through `FrozenEncoder.encode`; another
+    `sample_rate` raises `SampleRateMismatch`. An `Encoder` is frozen once
+    here for all its windows, so it and its `frozen()` form give the same
+    bits."""
+    require_rate(sample_rate, "the encoder's windows")
     if isinstance(encoder, Encoder):
         encoder = encoder.frozen()
     hop = encoder.cfg.hop_samples
-    want = chunk_samples(sample_rate)
+    want = chunk_samples(SAMPLE_RATE)
     n = len(samples)
     n_windows = max(1, int(np.ceil(n / want)))
     padded = np.zeros(n_windows * want, dtype=np.float32)
@@ -363,12 +363,11 @@ def _frozen_encoder(checkpoint_path: str) -> FrozenEncoder:
 def extract(checkpoint_path: str, manifest_path: str, out_dir: str) -> list[str]:
     """Write one PFEA embedding file (+ JSON sidecar) per manifest utterance."""
     encoder = _frozen_encoder(checkpoint_path)
-    sample_rate = encoder.cfg.sample_rate
-    corpus = load_corpus(manifest_path, "clean_speech", sample_rate)
+    corpus = load_corpus(manifest_path, "clean_speech", SAMPLE_RATE)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for entry in corpus:
-        emb = encode_utterance(encoder, entry.wave.samples, sample_rate)
+        emb = encode_utterance(encoder, entry.wave.samples, SAMPLE_RATE)
         path = os.path.join(out_dir, entry.utterance_id + ".pfea")
         write_pfea(
             path,
@@ -378,7 +377,7 @@ def extract(checkpoint_path: str, manifest_path: str, out_dir: str) -> list[str]
                 "hop": HOP_SECONDS,
                 "window": CHUNK_SECONDS,
                 "utterance_id": entry.utterance_id,
-                "sample_rate": sample_rate,
+                "sample_rate": SAMPLE_RATE,
                 "dims": int(emb.shape[1]),
             },
         )
@@ -399,8 +398,7 @@ def probe(checkpoint: str, manifest: str, out_json: str = "", seed: int = 0) -> 
     """Train a linear classifier on mean-pooled frozen embeddings; the report
     is also written to `out_json` when that is given."""
     encoder = _frozen_encoder(checkpoint)
-    sample_rate = encoder.cfg.sample_rate
-    corpus = load_corpus(manifest, "clean_speech", sample_rate)
+    corpus = load_corpus(manifest, "clean_speech", SAMPLE_RATE)
 
     classes = sorted({e.speaker_id for e in corpus})
     if len(classes) < 2:
@@ -413,7 +411,7 @@ def probe(checkpoint: str, manifest: str, out_json: str = "", seed: int = 0) -> 
             )
 
     feats = {
-        e.utterance_id: encode_utterance(encoder, e.wave.samples, sample_rate).mean(axis=0)
+        e.utterance_id: encode_utterance(encoder, e.wave.samples, SAMPLE_RATE).mean(axis=0)
         for e in corpus
     }
     rng = np.random.default_rng(seed)
@@ -480,8 +478,7 @@ def probe(checkpoint: str, manifest: str, out_json: str = "", seed: int = 0) -> 
 
 def contaminate_corpus(cfg: TrainConfig, manifest_path: str, out_dir: str, seed: int) -> str:
     """Offline variant of the online module: one distorted WAV per utterance."""
-    sample_rate = cfg.encoder.sample_rate
-    corpus = load_corpus(manifest_path, "clean_speech", sample_rate)
+    corpus = load_corpus(manifest_path, "clean_speech", SAMPLE_RATE)
     rng = np.random.default_rng(seed)
     dist = _with_pools(cfg, corpus, rng)
 
@@ -490,12 +487,12 @@ def contaminate_corpus(cfg: TrainConfig, manifest_path: str, out_dir: str, seed:
     with open(log_path, "w", encoding="utf-8") as fh:
         for entry in corpus:
             pseudo = Chunk(
-                entry.utterance_id, 0, entry.wave.samples, sample_rate, padded=False
+                entry.utterance_id, 0, entry.wave.samples, SAMPLE_RATE, padded=False
             )
             distorted, applied = contaminate(pseudo, dist, rng, speaker_id=entry.speaker_id)
             out_path = os.path.join(out_dir, entry.utterance_id + ".wav")
             write_wav(
-                Waveform(distorted.samples, sample_rate, entry.wave.encoding),
+                Waveform(distorted.samples, SAMPLE_RATE, entry.wave.encoding),
                 out_path,
                 encoding=entry.wave.encoding,
             )

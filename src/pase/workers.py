@@ -29,6 +29,7 @@ REGRESSION_KINDS = ("wave",) + F.FEATURE_KINDS
 
 HIDDEN_UNITS = 256
 STD_FLOOR = 1e-3
+HOP_SAMPLES = int(round(F.HOP_SECONDS * F.SAMPLE_RATE))  # per target frame
 
 
 @dataclass(frozen=True)
@@ -44,31 +45,31 @@ def default_roster() -> list[WorkerSpec]:
     return roster
 
 
-def target_dim(target_kind: str, sample_rate: int = 16000) -> int:
+def target_dim(target_kind: str) -> int:
     """Output width of one regression worker."""
     if target_kind == "wave":
-        return int(round(F.HOP_SECONDS * sample_rate))
+        return HOP_SAMPLES
     return F.FEATURE_DIMS[target_kind] * 3 * F.CONTEXT_FRAMES
 
 
-def worker_targets(chunks: list[np.ndarray], kinds,
-                   sample_rate: int = 16000) -> dict[str, np.ndarray]:
-    """The given kinds' targets of equal-length clean chunks before deltas and
-    context, as {kind: (B, frames, dims)}: the raw samples under each frame
-    for the waveform worker, and for every other kind its features, all from
-    one spectral pass over the batch (`features.batch_features`)."""
-    hop = int(round(F.HOP_SECONDS * sample_rate))
-    n = len(chunks[0]) // hop
+def worker_targets(chunks: list[np.ndarray], kinds) -> dict[str, np.ndarray]:
+    """The given kinds' targets of equal-length clean 16 kHz chunks before
+    deltas and context, as {kind: (B, frames, dims)}: the raw samples under
+    each frame for the waveform worker, and for every other kind its
+    features, all from one spectral pass over the batch
+    (`features.batch_features`)."""
+    n = len(chunks[0]) // HOP_SAMPLES
     for i, samples in enumerate(chunks):
         if len(samples) != len(chunks[0]):
             raise FrameGridMismatch(
-                f"chunk {i} gives {len(samples) // hop} target frames, chunk 0 {n}"
+                f"chunk {i} gives {len(samples) // HOP_SAMPLES} target frames, chunk 0 {n}"
                 f" ({len(samples)} samples against {len(chunks[0])})")
     batch = np.stack(chunks)
     out = F.batch_features(np.asarray(batch, dtype=np.float32),
-                           [kind for kind in kinds if kind != "wave"], sample_rate)
+                           [kind for kind in kinds if kind != "wave"])
     if "wave" in kinds:
-        out["wave"] = np.asarray(batch[:, : n * hop], dtype=np.float64).reshape(len(chunks), n, hop)
+        wave = np.asarray(batch[:, : n * HOP_SAMPLES], dtype=np.float64)
+        out["wave"] = wave.reshape(len(chunks), n, HOP_SAMPLES)
     return out
 
 
@@ -83,13 +84,16 @@ def _unstacked(kind: str, values: np.ndarray) -> tuple[np.ndarray, list[np.ndarr
     return values, F.context_rows(values.shape[0])
 
 
-def regression_targets(samples: np.ndarray, target_kind: str, sample_rate: int = 16000) -> np.ndarray:
+def regression_targets(samples: np.ndarray, target_kind: str,
+                       sample_rate: int = F.SAMPLE_RATE) -> np.ndarray:
     """Worker target matrix (frames, dims) computed from the clean signal.
 
     The waveform worker predicts the raw samples under each frame; every
     other worker gets features + deltas stacked over a 7-frame context.
+    `sample_rate` must be 16000, or `SampleRateMismatch` is raised.
     """
-    row = worker_targets([samples], (target_kind,), sample_rate)[target_kind][0]
+    F.require_rate(sample_rate, "worker targets")
+    row = worker_targets([samples], (target_kind,))[target_kind][0]
     values, rows = _unstacked(target_kind, row)
     return np.concatenate([values[r] for r in rows], axis=1)
 
@@ -109,15 +113,14 @@ def _fit_blocks(chunks: list[np.ndarray]):
     yield block
 
 
-def _add_block_sums(block: list[np.ndarray], sample_rate: int, sums: dict, squares: dict,
-                    counts: dict) -> None:
+def _add_block_sums(block: list[np.ndarray], sums: dict, squares: dict, counts: dict) -> None:
     """Adds each chunk's worker-target column sums, sums of squares and frame
     count to `sums`, `squares` and `counts`, kind by kind and chunk by chunk,
     from one `worker_targets` pass over the block. Each context block of a
     sum is taken over the rows of the unstacked target that it repeats, in
     frame order, so it has the bits of the stacked target's sum. The block's
     targets are freed on return."""
-    targets = worker_targets(block, REGRESSION_KINDS, sample_rate)
+    targets = worker_targets(block, REGRESSION_KINDS)
     for kind in REGRESSION_KINDS:
         for chunk in targets[kind]:
             values, rows = _unstacked(kind, chunk)
@@ -130,8 +133,7 @@ def _add_block_sums(block: list[np.ndarray], sample_rate: int, sums: dict, squar
 class TargetStandardizer:
     """Per-dimension mean/std of every regression target over the training corpus."""
 
-    def __init__(self, sample_rate: int = 16000):
-        self.sample_rate = sample_rate
+    def __init__(self):
         self.mean: dict[str, np.ndarray] = {}
         self.std: dict[str, np.ndarray] = {}
 
@@ -142,11 +144,11 @@ class TargetStandardizer:
         if not chunks:
             raise EmptyList("no chunks to fit the target statistics on")
         # a numpy sum starts from +0.0, so it is never -0.0 and 0.0 + sum is the sum
-        sums = {kind: np.zeros(target_dim(kind, self.sample_rate)) for kind in REGRESSION_KINDS}
+        sums = {kind: np.zeros(target_dim(kind)) for kind in REGRESSION_KINDS}
         squares = {kind: np.zeros_like(acc) for kind, acc in sums.items()}
         counts = dict.fromkeys(REGRESSION_KINDS, 0)
         for block in _fit_blocks(chunks):
-            _add_block_sums(block, self.sample_rate, sums, squares, counts)
+            _add_block_sums(block, sums, squares, counts)
         for kind in REGRESSION_KINDS:
             mean = sums[kind] / counts[kind]
             var = np.maximum(squares[kind] / counts[kind] - mean * mean, 0.0)
@@ -233,7 +235,6 @@ def regression_losses(
     specs: list[WorkerSpec],
     heads: dict[str, WorkerHead],
     standardizer: TargetStandardizer,
-    sample_rate: int = 16000,
 ) -> dict[str, Tensor]:
     """Each regression worker's frame-wise MSE between head(embedding) and
     its standardized clean targets, in the order of `specs`.
@@ -244,7 +245,7 @@ def regression_losses(
     dropped once the loss is built. A head's output layer and the MSE are
     one op, so no prediction is kept for backward.
     """
-    targets = worker_targets(clean_batch, [spec.name for spec in specs], sample_rate)
+    targets = worker_targets(clean_batch, [spec.name for spec in specs])
     t_emb = emb.shape[2]
     t_tgt = targets[specs[0].name].shape[1]
     if abs(t_emb - t_tgt) > 1:
@@ -265,11 +266,12 @@ def regression_worker_loss(
     spec: WorkerSpec,
     head: WorkerHead,
     standardizer: TargetStandardizer,
-    sample_rate: int = 16000,
+    sample_rate: int = F.SAMPLE_RATE,
 ) -> Tensor:
-    """One regression worker's loss: `regression_losses` of its spec alone."""
-    return regression_losses(emb, clean_batch, [spec], {spec.name: head}, standardizer,
-                             sample_rate)[spec.name]
+    """One regression worker's loss: `regression_losses` of its spec alone.
+    `sample_rate` must be 16000, or `SampleRateMismatch` is raised."""
+    F.require_rate(sample_rate, "worker targets")
+    return regression_losses(emb, clean_batch, [spec], {spec.name: head}, standardizer)[spec.name]
 
 
 # --- contrastive sampling -------------------------------------------------------
@@ -396,12 +398,12 @@ def total_loss(worker_losses: list[Tensor]) -> Tensor:
 class WorkerSet:
     """The twelve heads of `default_roster()` and their specs, keyed for checkpointing."""
 
-    def __init__(self, embedding_dim: int, rng, sample_rate: int = 16000):
+    def __init__(self, embedding_dim: int, rng):
         self.roster = default_roster()
         self.heads: dict[str, WorkerHead] = {}
         for spec in self.roster:
             if spec.kind == "regression":
-                out_dim = target_dim(spec.name, sample_rate)
+                out_dim = target_dim(spec.name)
                 in_dim = embedding_dim
             else:
                 out_dim = 1

@@ -169,14 +169,15 @@ def _op_cases():
         p_low = Tensor(rng.uniform(100, 2000, 3), requires_grad=True)
         p_band = Tensor(rng.uniform(100, 800, 3), requires_grad=True)
         return (
-            lambda: sq(sinc_bandpass_kernels(p_low, p_band, 65, SR, 30.0, 50.0)),
+            lambda: sq(sinc_bandpass_kernels(p_low, p_band, 65)),
             [p_low, p_band],
         )
 
     def front_end(rng):
-        # stride and padding in both convs, three items, a waveform that needs a gradient
+        # padding in both convs, a stride in block0's, three items, a waveform
+        # that needs a gradient
         x, kernels, w, b = t(rng, 3, 1, 40), t(rng, 4, 1, 7), t(rng, 5, 4, 5), t(rng, 5)
-        return lambda: sq(front_end_convs(x, kernels, w, b, 2, 3, 2, 2)), [x, kernels, w, b]
+        return lambda: sq(front_end_convs(x, kernels, w, b, 3, 2, 2)), [x, kernels, w, b]
 
     return {
         "add": on_x_y(lambda x, y: ad.add(x, y)),
@@ -219,14 +220,14 @@ def _full_graph_builder(rng):
     per-op suite.
     """
     enc = Encoder(EncoderConfig(), rng)
-    workers = W.WorkerSet(256, rng, SR)
+    workers = W.WorkerSet(256, rng)
     for p in enc.parameters() + workers.parameters():
         p.data = p.data.astype(np.float64)
         if p.name.endswith("prelu/alpha"):
             p.data[:] = 1.0
 
     clean = [rng.uniform(-0.5, 0.5, 3200) for _ in range(2)]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit([c.astype(np.float32) for c in clean])
 
     x_a = np.stack(clean)[:, None, :]
@@ -277,9 +278,9 @@ def test_criterion_qrnn_equivalence():
         h = int(rng.integers(1, 10))
         t = int(rng.integers(2, 50))
         k = int(rng.integers(1, 5))
-        layer = QRNNLayer(c, h, k, rng, "q")
-        for p in layer.parameters():
-            p.data = rng.standard_normal(p.data.shape)
+        layer = QRNNLayer(c, h, rng, "q")
+        for p in layer.parameters():  # gates of k frames: the pad follows the weights
+            p.data = rng.standard_normal((h, c, k) if p.data.ndim == 3 else p.data.shape)
         x = Tensor(rng.standard_normal((b, c, t)))
         got = layer.forward(x).data
         want = sequential_qrnn(
@@ -424,8 +425,8 @@ def test_criterion_shape_contract():
     chunk = np.random.default_rng(1).uniform(-0.5, 0.5, 2 * SR).astype(np.float32)
     emb = enc.frozen().encode(chunk)
     shapes_ok = emb.shape == (200, 256)
-    dim_ok = W.target_dim("mfcc", SR) == 13 * 3 * 7 == 273
-    report("shape-contract", shapes_ok and dim_ok, f"embedding {emb.shape}, mfcc dim {W.target_dim('mfcc', SR)}")
+    dim_ok = W.target_dim("mfcc") == 13 * 3 * 7 == 273
+    report("shape-contract", shapes_ok and dim_ok, f"embedding {emb.shape}, mfcc dim {W.target_dim('mfcc')}")
 
 
 # --- criteria on the shared training run ---------------------------------------------------

@@ -124,8 +124,8 @@ def test_manifest_well_formed(tmp_path):
     )
     manifest = load_manifest(str(path))
     assert [e.utterance_id for e in manifest] == ["utt0", "utt1", "utt2"]
-    assert manifest.entries[1].speaker_id == "spkB"
-    assert manifest.entries[2].path == "/data/c.wav"
+    assert manifest[1].speaker_id == "spkB"
+    assert manifest[2].path == "/data/c.wav"
 
 
 def test_manifest_duplicate_id(tmp_path):
@@ -148,20 +148,13 @@ def test_manifest_empty_is_valid(tmp_path):
     assert len(load_manifest(str(path))) == 0
 
 
-def test_manifest_rir_role_rejected(tmp_path):
-    path = tmp_path / "m.tsv"
-    path.write_text("u\ts\tu.wav\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_manifest(str(path), role="rir")
-
-
 def test_manifest_parse_is_deterministic(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("b\ts\tb.wav\na\ts\ta.wav\n", encoding="utf-8")
     first = load_manifest(str(path))
     second = load_manifest(str(path))
     assert [e.utterance_id for e in first] == ["b", "a"]
-    assert first.entries == second.entries
+    assert first == second
 
 
 def test_draw_chunk_exact_two_seconds(rng):

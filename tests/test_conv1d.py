@@ -12,7 +12,8 @@ import pytest
 
 import pase.autodiff as ad
 from pase.autodiff import Tensor
-from pase.encoder import EncoderConfig
+from pase.encoder import QRNN_KERNEL, EncoderConfig
+from pase.features import SAMPLE_RATE
 
 from oracles import reference_conv1d
 
@@ -21,11 +22,10 @@ def _encoder_conv_shapes(batch: int, seconds: float = 2.0):
     """(name, x shape, w shape, stride, padding, has bias) for every conv the
     default encoder runs on one training chunk."""
     cfg = EncoderConfig()
-    t = int(seconds * cfg.sample_rate)
+    t = int(seconds * SAMPLE_RATE)
     pad = (cfg.sinc_kernel - 1) // 2
-    shapes = [("sinc", (batch, 1, t), (cfg.sinc_filters, 1, cfg.sinc_kernel),
-               cfg.sinc_stride, pad, False)]
-    t = (t + 2 * pad - cfg.sinc_kernel) // cfg.sinc_stride + 1
+    shapes = [("sinc", (batch, 1, t), (cfg.sinc_filters, 1, cfg.sinc_kernel), 1, pad, False)]
+    t = t + 2 * pad - cfg.sinc_kernel + 1
     c = cfg.sinc_filters
     for i, (ch, k, s) in enumerate(zip(cfg.block_channels, cfg.block_kernels, cfg.block_strides)):
         pad = (k - 1) // 2
@@ -34,8 +34,8 @@ def _encoder_conv_shapes(batch: int, seconds: float = 2.0):
         c = ch
     for ch in sorted(set(cfg.block_channels)):
         shapes.append((f"skip{ch}", (batch, ch, t), (cfg.embedding_dim, ch, 1), 1, 0, True))
-    shapes.append(("qrnn", (batch, cfg.embedding_dim, t + cfg.qrnn_kernel - 1),
-                   (cfg.qrnn_hidden, cfg.embedding_dim, cfg.qrnn_kernel), 1, 0, True))
+    shapes.append(("qrnn", (batch, cfg.embedding_dim, t + QRNN_KERNEL - 1),
+                   (cfg.qrnn_hidden, cfg.embedding_dim, QRNN_KERNEL), 1, 0, True))
     shapes.append(("emb", (batch, cfg.qrnn_hidden, t), (cfg.embedding_dim, cfg.qrnn_hidden, 1),
                    1, 0, True))
     return shapes

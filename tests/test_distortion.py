@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pase.audio_io import Chunk, Waveform
 from pase.distortion import (
+    DISTORTION_ORDER,
     DistortionConfig,
     apply_clip,
     apply_freq_mask,
@@ -259,12 +260,16 @@ def chunk_of(samples):
 
 def test_contaminate_all_off_is_identity(rng):
     cfg = small_pools_config(rng)
-    for name in ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap"):
+    for name in DISTORTION_ORDER:
         getattr(cfg, name).p = 0.0
+        assert not getattr(cfg, name).enabled
     chunk = chunk_of(rng.uniform(-0.8, 0.8, 32000))
-    out, applied = contaminate(chunk, cfg, np.random.default_rng(0))
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    out, applied = contaminate(chunk, cfg, gen)
     assert applied == []
     assert np.array_equal(out.samples, chunk.samples)
+    assert gen.bit_generator.state == state  # a distortion at p = 0 draws nothing
 
 
 def test_contaminate_deterministic(rng):
@@ -334,16 +339,19 @@ def test_contaminate_activation_rates_binomial(rng):
         assert abs(counts[kind] / n - p) <= 3 * sigma, kind
 
 
-@pytest.mark.parametrize("p", [1.0, 0.6, None])
+@pytest.mark.parametrize("p", [1.0, 0.6, None, pytest.param((0.0, 1.0), id="odd-off"),
+                               pytest.param((1.0, 0.0), id="even-off")])
 @pytest.mark.parametrize("speaker_id", [None, "spkA"])
 def test_contaminate_matches_interleaved_reference(rng, p, speaker_id):
     """Drawing the whole log before applying it gives the audio, the log and
     the Generator state of drawing and applying each distortion in turn;
-    p=None keeps the default per-distortion probabilities."""
+    p=None keeps the default per-distortion probabilities, and a pair
+    alternates its two values over the six distortions, so three are off."""
     cfg = small_pools_config(rng)
     if p is not None:
-        for name in ("reverb", "noise", "freq_mask", "temporal_mask", "clip", "overlap"):
-            getattr(cfg, name).p = p
+        pair = p if isinstance(p, tuple) else (p, p)
+        for i, name in enumerate(DISTORTION_ORDER):
+            getattr(cfg, name).p = pair[i % 2]
     gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(25):
         chunk = chunk_of(rng.uniform(-0.9, 0.9, int(rng.integers(400, 9000))))
@@ -353,3 +361,9 @@ def test_contaminate_matches_interleaved_reference(rng, p, speaker_id):
         assert out.samples.dtype == want.samples.dtype
         assert out.samples.tobytes() == want.samples.tobytes()
         assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def test_enabled_is_read_only(rng):
+    cfg = small_pools_config(rng)
+    with pytest.raises(AttributeError):
+        cfg.clip.enabled = False

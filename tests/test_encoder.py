@@ -91,7 +91,7 @@ def test_sinc_constraint_handles_extreme_parameters():
 def test_sinc_kernel_band_pass_response():
     p_low = Tensor(np.array([1000.0 - 30.0]), requires_grad=True)
     p_band = Tensor(np.array([2000.0 - 1000.0 - 50.0]), requires_grad=True)
-    kernels = sinc_bandpass_kernels(p_low, p_band, 251, SR, 30.0, 50.0)
+    kernels = sinc_bandpass_kernels(p_low, p_band, 251)
     response = np.abs(np.fft.rfft(kernels.data[0, 0], n=4096))
     freqs = np.fft.rfftfreq(4096, 1.0 / SR)
     at = lambda f: response[np.argmin(np.abs(freqs - f))]
@@ -104,7 +104,7 @@ def test_sinc_cutoff_gradients_match_fd(rng):
     p_band = Tensor(rng.uniform(100, 1000, 4), requires_grad=True)
 
     def build():
-        k = sinc_bandpass_kernels(p_low, p_band, 65, SR, 30.0, 50.0)
+        k = sinc_bandpass_kernels(p_low, p_band, 65)
         return ad.mean(ad.mul(k, k))
 
     err = gradcheck(build, [p_low, p_band], n_coords=4, rng=rng)
@@ -116,7 +116,7 @@ def test_sinc_cutoff_gradients_match_fd(rng):
 
 def two_convs(front: SincLayer, x: Tensor) -> Tensor:
     """The front end as it trains: the sinc conv, then block0's conv."""
-    h = ad.conv1d(x, front.kernels(), stride=front.cfg.sinc_stride, padding=front.pad)
+    h = ad.conv1d(x, front.kernels(), padding=front.pad)
     return ad.conv1d(h, front.w, front.b, stride=front.conv_stride, padding=front.conv_pad)
 
 
@@ -392,7 +392,7 @@ def test_skip_path_at_final_rate_is_not_copied(rng):
 
 
 def test_qrnn_forced_forget_gate_limits(rng):
-    layer = QRNNLayer(4, 4, 2, rng, "q")
+    layer = QRNNLayer(4, 4, rng, "q")
     x = Tensor(rng.standard_normal((2, 4, 10)).astype(np.float32))
 
     layer.w_f.data[:] = 0.0
@@ -407,7 +407,7 @@ def test_qrnn_forced_forget_gate_limits(rng):
 
 
 def test_qrnn_gate_ranges(rng):
-    layer = QRNNLayer(4, 6, 2, rng, "q")
+    layer = QRNNLayer(4, 6, rng, "q")
     x = Tensor((rng.standard_normal((2, 4, 30)) * 50).astype(np.float32))
     z, f, o = layer.gates(x)
     assert np.all((z.data > -1.0) & (z.data < 1.0) | (np.abs(z.data) == 1.0))
@@ -425,9 +425,9 @@ def test_qrnn_parallel_matches_sequential_reference(seed):
         int(rng.integers(2, 40)),
         int(rng.integers(1, 4)),
     )
-    layer = QRNNLayer(c, h, k, rng, "q")
-    for p in layer.parameters():
-        p.data = rng.standard_normal(p.data.shape)  # float64 weights
+    layer = QRNNLayer(c, h, rng, "q")
+    for p in layer.parameters():  # float64 gates of k frames: the pad follows the weights
+        p.data = rng.standard_normal((h, c, k) if p.data.ndim == 3 else p.data.shape)
     x = Tensor(rng.standard_normal((b, c, t)))
     got = layer.forward(x)
     want = sequential_qrnn(

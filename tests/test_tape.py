@@ -354,12 +354,11 @@ def kept_arrays(root: Tensor) -> list[np.ndarray]:
 
 def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
     rng = np.random.default_rng(7)
-    sr = 16000
     encoder = tiny_encoder(rng)
-    workers = W.WorkerSet(8, rng, sr)
+    workers = W.WorkerSet(8, rng)
     clean = [rng.uniform(-0.5, 0.5, 3200).astype(np.float32) for _ in range(2)]
     views = (np.stack(clean)[:, None, :], rng.uniform(-0.5, 0.5, (2, 1, 3200)).astype(np.float32))
-    std = W.TargetStandardizer(sample_rate=sr)
+    std = W.TargetStandardizer()
     std.fit(clean)
 
     # one step's total loss, built as `train_step` builds it
@@ -392,7 +391,7 @@ def test_tape_keeps_no_batchnorm_output_and_no_regression_prediction():
     with ad.no_grad():
         for spec in regression:
             head = workers.heads[spec.name]
-            frames = min(emb_a.shape[2], W.regression_targets(clean[0], spec.name, sr).shape[0])
+            frames = min(emb_a.shape[2], W.regression_targets(clean[0], spec.name).shape[0])
             flat = W._flatten_frames(Tensor(emb_a.data), frames)
             hidden = ad.prelu(ad.linear(flat, head.w1, head.b1), head.alpha)
             hiddens.append(hidden.data)

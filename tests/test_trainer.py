@@ -125,6 +125,15 @@ def test_encode_utterance_freezes_an_encoder_once(trained, rng, monkeypatch):
     assert via_encoder.tobytes() == via_frozen.tobytes()
 
 
+def test_encode_utterance_rejects_other_sample_rates(trained, rng):
+    # at 8 kHz a 2 s window is 16000 samples, which the 16 kHz encoder would
+    # take for 1 s and return frames for without an error
+    model, _ = T.load_model(trained["final"])
+    samples = rng.uniform(-0.5, 0.5, 3 * 8000).astype(np.float32)
+    with pytest.raises(SampleRateMismatch, match="got 8000 Hz"):
+        T.encode_utterance(model.encoder, samples, 8000)
+
+
 def test_loaded_model_owns_aligned_arrays(trained):
     model, _ = T.load_model(trained["final"])
     stats = list(model.standardizer.mean.values()) + list(model.standardizer.std.values())
@@ -259,7 +268,7 @@ def test_empty_noise_pool_fails_before_any_output(micro_corpus, tmp_path):
 
 
 def test_pretrain_aborts_on_nonfinite_loss(micro_corpus, tmp_path, monkeypatch):
-    def poisoned(emb, clean, specs, heads, standardizer, sample_rate=16000):
+    def poisoned(emb, clean, specs, heads, standardizer):
         return {spec.name: Tensor(np.asarray(np.nan, dtype=np.float32)) for spec in specs}
 
     monkeypatch.setattr(T.W, "regression_losses", poisoned)

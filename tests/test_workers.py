@@ -8,7 +8,7 @@ import pase.workers as W
 from pase.audio_io import Chunk
 from pase.autodiff import Tensor
 from pase.distortion import DistortionConfig, contaminate
-from pase.errors import EmptyList, FrameGridMismatch, SingleUtteranceBatch
+from pase.errors import EmptyList, FrameGridMismatch, SampleRateMismatch, SingleUtteranceBatch
 
 from oracles import reference_fit_statistics, reference_regression_worker_loss, same_bytes
 
@@ -41,11 +41,11 @@ def test_default_roster_has_twelve_unique_workers():
     ],
 )
 def test_target_dims(kind, dim):
-    assert W.target_dim(kind, SR) == dim
+    assert W.target_dim(kind) == dim
 
 
 def test_mfcc_worker_target_dim_is_273():
-    assert W.target_dim("mfcc", SR) == 13 * 3 * 7 == 273
+    assert W.target_dim("mfcc") == 13 * 3 * 7 == 273
 
 
 def test_regression_targets_shapes(rng):
@@ -61,7 +61,7 @@ def test_targets_depend_only_on_clean_chunk(rng):
     clean = rng.uniform(-0.5, 0.5, 32000).astype(np.float32)
     chunk = Chunk("u", 0, clean, SR)
     cfg = DistortionConfig()
-    cfg.reverb.enabled = cfg.noise.enabled = cfg.overlap.enabled = False
+    cfg.reverb.p = cfg.noise.p = cfg.overlap.p = 0.0
     distorted_a, _ = contaminate(chunk, cfg, np.random.default_rng(1))
     distorted_b, _ = contaminate(chunk, cfg, np.random.default_rng(2))
     assert not np.array_equal(distorted_a.samples, distorted_b.samples)
@@ -73,7 +73,7 @@ def test_targets_depend_only_on_clean_chunk(rng):
 
 def test_standardizer_round_trip(rng):
     chunks = [rng.uniform(-0.5, 0.5, 32000).astype(np.float32) for _ in range(3)]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(chunks)
     raw = W.regression_targets(chunks[0], "mfcc", SR)
     z = std.transform("mfcc", raw, np.empty(raw.shape, np.float32))
@@ -81,14 +81,14 @@ def test_standardizer_round_trip(rng):
     assert np.all(np.isfinite(z))
 
     state = std.state()
-    other = W.TargetStandardizer(sample_rate=SR)
+    other = W.TargetStandardizer()
     other.load_state(state)
     assert np.array_equal(other.transform("mfcc", raw, np.empty(raw.shape, np.float32)), z)
 
 
 def test_standardized_corpus_targets_have_unit_scale(rng):
     chunks = [rng.uniform(-0.5, 0.5, 32000).astype(np.float32) for _ in range(4)]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(chunks)
     raw = [W.regression_targets(c, "fbank", SR) for c in chunks]
     stacked = np.concatenate([std.transform("fbank", r, np.empty(r.shape, np.float32)) for r in raw])
@@ -111,7 +111,7 @@ def test_fit_equals_the_stacked_fit_bitwise(rng, lengths, silent):
     chunks[-1][: len(chunks[-1]) // 2] = 0.0  # silence: log floors and zero deltas
     if silent:
         chunks = [np.zeros(n, dtype=np.float32) for n in lengths]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(chunks)
     mean, sd = reference_fit_statistics(chunks, SR)
     for kind in W.REGRESSION_KINDS:
@@ -125,7 +125,7 @@ def test_fit_memory_does_not_grow_with_the_corpus(rng):
     def peak_bytes(subset):
         tracemalloc.start()
         try:
-            W.TargetStandardizer(sample_rate=SR).fit(subset)
+            W.TargetStandardizer().fit(subset)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -137,7 +137,7 @@ def test_fit_memory_does_not_grow_with_the_corpus(rng):
 
 def test_fit_of_no_chunks_is_empty_list():
     with pytest.raises(EmptyList):
-        W.TargetStandardizer(sample_rate=SR).fit([])
+        W.TargetStandardizer().fit([])
 
 
 def test_worker_head_capacity_is_fixed(rng):
@@ -150,7 +150,7 @@ def test_worker_head_capacity_is_fixed(rng):
 
 def test_regression_worker_loss_zero_when_head_matches(rng):
     samples = [rng.uniform(-0.3, 0.3, 32000).astype(np.float32)]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(samples)
     raw = W.regression_targets(samples[0], "mfcc", SR)
     target = std.transform("mfcc", raw, np.empty(raw.shape, np.float32))
@@ -168,12 +168,25 @@ def test_regression_worker_loss_zero_when_head_matches(rng):
     assert loss.item() == 0.0
 
 
+def test_wave_targets_and_loss_reject_other_sample_rates(rng):
+    # at 8 kHz the waveform worker's frames would be 80 samples wide and fail
+    # later as a shape error (the spectral kinds fail in their filterbanks)
+    samples = rng.uniform(-0.3, 0.3, 16000).astype(np.float32)
+    with pytest.raises(SampleRateMismatch, match="got 8000 Hz"):
+        W.regression_targets(samples, "wave", 8000)
+    emb = Tensor(rng.standard_normal((1, 8, 200)).astype(np.float32))
+    head = W.WorkerHead("wave", 8, W.target_dim("wave"), rng)
+    spec = W.WorkerSpec("wave", "regression")
+    with pytest.raises(SampleRateMismatch, match="got 8000 Hz"):
+        W.regression_worker_loss(emb, [samples], spec, head, W.TargetStandardizer(), 8000)
+
+
 @pytest.mark.parametrize("fewer_frames", [0, 1])
 def test_target_batch_equals_stacked_transforms(rng, monkeypatch, fewer_frames):
     # the batch regression_worker_loss standardizes in place equals np.stack
     # of the old transform's outputs, cut to the embedding's frames
     samples = [rng.uniform(-0.3, 0.3, 32000).astype(np.float32) for _ in range(3)]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(samples)
     seen = []
     linear_mse = ad.linear_mse
@@ -193,7 +206,7 @@ def test_target_batch_equals_stacked_transforms(rng, monkeypatch, fewer_frames):
         assert same_bytes(std.transform(kind, raw[0], np.empty(old[0].shape, np.float32)), old[0]), kind
         frames = old.shape[1] - fewer_frames
         emb = Tensor(rng.standard_normal((3, 8, frames)).astype(np.float32))
-        head = W.WorkerHead(kind, 8, W.target_dim(kind, SR), rng)
+        head = W.WorkerHead(kind, 8, W.target_dim(kind), rng)
         spec = W.WorkerSpec(kind, "regression")
         W.regression_worker_loss(emb, samples, spec, head, std, SR)
         assert same_bytes(seen[-1], old[:, :frames].reshape(3 * frames, -1)), kind
@@ -201,7 +214,7 @@ def test_target_batch_equals_stacked_transforms(rng, monkeypatch, fewer_frames):
 
 def test_regression_worker_frame_grid_mismatch(rng):
     samples = [rng.uniform(-0.3, 0.3, 32000).astype(np.float32)]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(samples)
     emb = Tensor(rng.standard_normal((1, 256, 150)).astype(np.float32))  # 50 off
     spec = W.WorkerSpec("mfcc", "regression")
@@ -213,10 +226,10 @@ def test_regression_worker_frame_grid_mismatch(rng):
 @pytest.mark.parametrize("kind", W.REGRESSION_KINDS)
 def test_regression_worker_chunks_of_unequal_length(rng, kind):
     samples = [rng.uniform(-0.3, 0.3, n).astype(np.float32) for n in (32000, 31840)]
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(samples)
     emb = Tensor(rng.standard_normal((2, 8, 200)).astype(np.float32))
-    head = W.WorkerHead(kind, 8, W.target_dim(kind, SR), rng)
+    head = W.WorkerHead(kind, 8, W.target_dim(kind), rng)
     with pytest.raises(FrameGridMismatch, match="chunk 1 gives 199"):
         W.regression_worker_loss(emb, samples, W.WorkerSpec(kind, "regression"), head, std, SR)
 
@@ -233,7 +246,7 @@ def test_worker_losses_equal_the_per_kind_path_bitwise(dtype, extra_frame):
     b, c, n = 3, 8, 8000
     clean = [(rng.uniform(-0.5, 0.5, n) * (0.2 + i)).astype(dtype) for i in range(b)]
     clean[1][:2000] = 0.0  # silence: log floors and zero deltas
-    std = W.TargetStandardizer(sample_rate=SR)
+    std = W.TargetStandardizer()
     std.fit(clean)
     frames = n // 160 + extra_frame  # one frame more is truncated before the flatten
     emb_a, emb_b = (rng.standard_normal((b, c, frames)).astype(dtype) for _ in range(2))
@@ -242,7 +255,7 @@ def test_worker_losses_equal_the_per_kind_path_bitwise(dtype, extra_frame):
     gim = W.gim_sample(utts, [0, 1, 2], [3, 4, 5], rng, per_element=2)
 
     def step(losses_of):
-        workers = W.WorkerSet(c, np.random.default_rng(3), SR)
+        workers = W.WorkerSet(c, np.random.default_rng(3))
         for p in workers.parameters():
             p.data = p.data.astype(dtype)
         a = Tensor(emb_a.copy(), requires_grad=True)
@@ -391,7 +404,7 @@ def test_total_loss_gradient_distributes_equally(rng):
 
 
 def test_worker_set_parameters_unique(rng):
-    ws = W.WorkerSet(256, rng, SR)
+    ws = W.WorkerSet(256, rng)
     names = [p.name for p in ws.parameters()]
     assert len(names) == len(set(names))
     assert len(ws.heads) == 12
